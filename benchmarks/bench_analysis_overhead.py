@@ -143,7 +143,7 @@ def test_compiled_sobel_map_speedup(benchmark):
     image = rng.uniform(0.0, 255.0, (SOBEL_HW, SOBEL_HW))
     padded = np.pad(image, 1, mode="edge")
 
-    # Warmup (vec bridge imports and numpy one-time costs).
+    # Warmup (numpy one-time costs).
     analyse_sobel_scan_map(image[:4, :4])
     analyse_sobel_pixel(padded[0:3, 0:3])
 

@@ -125,9 +125,7 @@ def test_blackscholes_replay_speedup(benchmark):
 def test_sobel_map_replay_speedup(benchmark):
     """Whole-image maps: one replayed trace vs one recording per pixel.
 
-    The per-pixel scalar loop is the only other path that produces the
-    replay's exact bits (the batched vec re-recording agrees to ~1e-9
-    relative and is timed alongside for reference).
+    The per-pixel scalar loop is the bitwise reference for the replay.
     """
     from repro.kernels.sobel.analysis import (
         analyse_sobel_map,
@@ -137,9 +135,8 @@ def test_sobel_map_replay_speedup(benchmark):
     rng = np.random.default_rng(5)
     image = rng.uniform(0.0, 255.0, (SOBEL_HW, SOBEL_HW))
 
-    # Warm every path.
-    analyse_sobel_map(image[:4, :4], replay=True)
-    analyse_sobel_map(image[:4, :4], replay=False)
+    # Warm both paths.
+    analyse_sobel_map(image[:4, :4])
     analyse_sobel_pixel(image[:3, :3])
 
     def scalar_maps():
@@ -154,29 +151,19 @@ def test_sobel_map_replay_speedup(benchmark):
         return maps
 
     t_obj, recorded = _timed(scalar_maps)
-    t_rep = min(
-        _timed(lambda: analyse_sobel_map(image, replay=True))[0]
-        for _ in range(3)
-    )
-    replayed = analyse_sobel_map(image, replay=True)
-    t_vec, vec_maps = _timed(lambda: analyse_sobel_map(image, replay=False))
+    t_rep = min(_timed(lambda: analyse_sobel_map(image))[0] for _ in range(3))
+    replayed = analyse_sobel_map(image)
 
     for key in ("A", "B", "C"):
         assert recorded[key].tobytes() == replayed[key].tobytes()
-        assert np.allclose(vec_maps[key], replayed[key], rtol=1e-9)
 
     benchmark.pedantic(
-        analyse_sobel_map,
-        args=(image,),
-        kwargs={"replay": True},
-        rounds=3,
-        iterations=1,
+        analyse_sobel_map, args=(image,), rounds=3, iterations=1
     )
 
     speedup = t_obj / t_rep
     benchmark.extra_info["scalar_record_seconds"] = round(t_obj, 3)
     benchmark.extra_info["replay_seconds"] = round(t_rep, 3)
-    benchmark.extra_info["vec_record_seconds"] = round(t_vec, 3)
     benchmark.extra_info["speedup"] = round(speedup, 1)
     record_value(
         "analysis.sobel_map_replay_speedup",

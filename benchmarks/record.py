@@ -14,10 +14,12 @@ and compared against a committed baseline in CI::
     python benchmarks/record.py --compare benchmarks/BENCH_baseline.json \
         --tolerance 2.0
 
-The comparison is directional per unit: ``seconds`` and ``ms`` entries
-fail when the current value is more than ``tolerance`` times *slower*
-than baseline; ``x`` (speedup) and ``req/s`` (throughput) entries fail
-when more than ``tolerance`` times *smaller*.
+The comparison is directional per unit: ``seconds``, ``ms`` and
+``ratio`` (overhead factor) entries fail when the current value is more
+than ``tolerance`` times *larger* than baseline; ``x`` (speedup) and
+``req/s`` (throughput) entries fail when more than ``tolerance`` times
+*smaller*.  A baseline entry with any other unit fails the run, so no
+entry goes ungated.
 Entries present on only one side are reported but never fail the run, so
 adding a new benchmark doesn't require touching the baseline first.
 """
@@ -110,8 +112,12 @@ def compare(
         elif unit == "req/s":
             ok = cur >= base / tolerance
             verdict = f"{cur:.1f} req/s vs baseline {base:.1f} req/s"
+        elif unit == "ratio":
+            ok = cur <= base * tolerance
+            verdict = f"{cur:.3f} vs baseline ratio {base:.3f}"
         else:
-            continue
+            ok = False
+            verdict = f"unknown unit {unit!r}, cannot gate"
         status = "ok" if ok else "REGRESSION"
         print(f"  {name}: {verdict} [{status}]")
         if not ok:

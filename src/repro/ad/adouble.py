@@ -91,15 +91,6 @@ class ADouble:
     # ------------------------------------------------------------------
     # Recording helpers
     # ------------------------------------------------------------------
-    def _coerce(self, value: Any) -> Any:
-        """Coerce a passive operand to this value's algebra.
-
-        Subclasses carrying other algebras (e.g. the batched
-        :class:`repro.vec.vadouble.VADouble`) override this one hook and
-        inherit all the arithmetic below.
-        """
-        return _coerce_const(value, self.interval_mode)
-
     def _make(
         self,
         op: str,
@@ -137,7 +128,7 @@ class ADouble:
                 (a.node.index, b.node.index),
                 (partial_self_fn(a.value, b.value), partial_other_fn(a.value, b.value)),
             )
-        const = self._coerce(other)
+        const = _coerce_const(other, self.interval_mode)
         if reflected:
             value = value_fn(const, self.value)
             partial = partial_other_fn(const, self.value)
@@ -242,7 +233,7 @@ class ADouble:
         if isinstance(exponent, (int, float)) and float(exponent).is_integer():
             n = int(exponent)
             if n == 0:
-                one = self._coerce(1.0)
+                one = _coerce_const(1.0, self.interval_mode)
                 # x**0 == 1 with zero sensitivity to x; keep the data-flow
                 # edge so the DynDFG still shows the dependence (Fig. 3).
                 return self.record_unary("pow0", one, 0.0)
@@ -258,7 +249,8 @@ class ADouble:
     def __rpow__(self, base: _Operand) -> "ADouble":
         from . import intrinsics as _in
 
-        return _in.exp(self * _in.log(self._coerce(base)))
+        base = _coerce_const(base, self.interval_mode)
+        return _in.exp(self * _in.log(base))
 
     # ------------------------------------------------------------------
     # Comparisons (interval semantics; ambiguous -> error)

@@ -20,7 +20,6 @@ interval, tangent, and interval-adjoint (significance) modes.
 from __future__ import annotations
 
 import math
-import sys
 from typing import Any, Callable
 
 from repro.intervals import Interval
@@ -64,19 +63,6 @@ _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 
 
-def _vec_module(x: Any):
-    """Return :mod:`repro.vec.ivec` when ``x`` is an IntervalArray.
-
-    Looked up through ``sys.modules`` so the scalar path pays only a dict
-    probe and no import: if ``repro.vec`` was never imported, no value can
-    be an ``IntervalArray`` and the probe short-circuits.
-    """
-    mod = sys.modules.get("repro.vec.ivec")
-    if mod is not None and isinstance(x, mod.IntervalArray):
-        return mod
-    return None
-
-
 def _make_unary(
     name: str,
     value_fn: Callable[[Any], Any],
@@ -101,10 +87,6 @@ def _make_unary(
         if isinstance(x, Tangent):
             value = value_fn(x.value)
             return Tangent(value, partial_fn(x.value, value) * x.dot)
-        vec = _vec_module(x)
-        if vec is not None:
-            # Lane-parallel value algebra (repro.vec): one array op.
-            return getattr(vec, name)(x)
         return value_fn(x)
 
     intrinsic.__name__ = name
@@ -147,37 +129,28 @@ erfc = _make_unary(
 def _round_partial(value: Any) -> Any:
     # Straight-through derivative enclosure, see DESIGN.md §4: [0, 1] in
     # interval mode, 1.0 (plain straight-through estimator) for scalars.
-    vec = _vec_module(value)
-    if vec is not None:
-        return vec.IntervalArray.full(value.shape, Interval(0.0, 1.0))
     return Interval(0.0, 1.0) if isinstance(value, Interval) else 1.0
-
-
-def _value_fn(name: str, x: Any):
-    """The direct evaluator for ``x``'s algebra (scalar ifn or vec)."""
-    vec = _vec_module(x)
-    return getattr(vec, name) if vec is not None else getattr(ifn, name)
 
 
 def round_st(x: Any) -> Any:
     """Straight-through rounding (used by DCT quantisation)."""
     if isinstance(x, ADouble):
-        value = _value_fn("round_st", x.value)(x.value)
+        value = ifn.round_st(x.value)
         return x.record_unary("round_st", value, _round_partial(x.value))
     if isinstance(x, Tangent):
         return Tangent(ifn.round_st(x.value), _round_partial(x.value) * x.dot)
-    return _value_fn("round_st", x)(x)
+    return ifn.round_st(x)
 
 
 def floor(x: Any) -> Any:
     """Floor with zero derivative (piecewise constant a.e.)."""
     if isinstance(x, ADouble):
-        value = _value_fn("floor", x.value)(x.value)
+        value = ifn.floor(x.value)
         return x.record_unary("floor", value, 0.0)
     if isinstance(x, Tangent):
         zero = Interval(0.0) if isinstance(x.value, Interval) else 0.0
         return Tangent(ifn.floor(x.value), zero)
-    return _value_fn("floor", x)(x)
+    return ifn.floor(x)
 
 
 def pow(x: Any, y: Any) -> Any:
@@ -186,17 +159,12 @@ def pow(x: Any, y: Any) -> Any:
         return x**y
     if isinstance(y, (ADouble, Tangent)):
         return y.__rpow__(x)
-    vec = _vec_module(x)
-    if vec is not None:
-        return vec.pow(x, y)
     return ifn.pow(x, y)
 
 
 def hypot(x: Any, y: Any) -> Any:
     """``sqrt(x^2 + y^2)`` in any mode (composed from taped primitives)."""
     if isinstance(x, (ADouble, Tangent)) or isinstance(y, (ADouble, Tangent)):
-        return sqrt(x * x + y * y)
-    if _vec_module(x) is not None or _vec_module(y) is not None:
         return sqrt(x * x + y * y)
     return ifn.hypot(x, y)
 
@@ -205,17 +173,11 @@ def atan2(y: Any, x: Any) -> Any:
     """Two-argument arctangent restricted to ``x > 0`` (see intervals)."""
     if isinstance(y, (ADouble, Tangent)) or isinstance(x, (ADouble, Tangent)):
         return atan(y / x)
-    vec = _vec_module(y) or _vec_module(x)
-    if vec is not None:
-        return vec.atan2(y, x)
     return ifn.atan2(y, x)
 
 
 def _select_partials(a_val: Any, b_val: Any, picking_min: bool) -> tuple:
     """Subgradient enclosures for min/max in any algebra."""
-    vec = _vec_module(a_val) or _vec_module(b_val)
-    if vec is not None:
-        return _vec_select_partials(vec, a_val, b_val, picking_min)
     if isinstance(a_val, Interval) or isinstance(b_val, Interval):
         from repro.intervals import as_interval
 
@@ -237,52 +199,20 @@ def _select_partials(a_val: Any, b_val: Any, picking_min: bool) -> tuple:
     return (1.0, 0.0) if a_val >= b_val else (0.0, 1.0)
 
 
-def _vec_select_partials(vec: Any, a_val: Any, b_val: Any, picking_min: bool) -> tuple:
-    """Per-lane subgradient enclosures for min/max over IntervalArrays."""
-    import numpy as np
-
-    shape = a_val.shape if vec.IntervalArray is type(a_val) else b_val.shape
-    ia = vec.as_interval_array(a_val, shape)
-    ib = vec.as_interval_array(b_val, shape)
-    if picking_min:
-        a_wins = ia.hi <= ib.lo
-        b_wins = ib.hi <= ia.lo
-    else:
-        a_wins = ia.lo >= ib.hi
-        b_wins = ib.lo >= ia.hi
-    # Decided lanes get the 0/1 point partial; straddling lanes [0, 1].
-    pa = vec.IntervalArray(
-        np.where(a_wins, 1.0, 0.0),
-        np.where(b_wins, 0.0, 1.0),
-    )
-    pb = vec.IntervalArray(
-        np.where(b_wins, 1.0, 0.0),
-        np.where(a_wins, 0.0, 1.0),
-    )
-    return pa, pb
-
-
 def _min_max(x: Any, y: Any, picking_min: bool) -> Any:
     op = "min" if picking_min else "max"
-
-    def value_fn(a_val: Any, b_val: Any) -> Any:
-        vec = _vec_module(a_val) or _vec_module(b_val)
-        if vec is not None:
-            return (vec.minimum if picking_min else vec.maximum)(a_val, b_val)
-        return (ifn.minimum if picking_min else ifn.maximum)(a_val, b_val)
-
+    value_fn = ifn.minimum if picking_min else ifn.maximum
     if isinstance(x, ADouble) or isinstance(y, ADouble):
-        taped_cls = type(x) if isinstance(x, ADouble) else type(y)
-        a = x if isinstance(x, ADouble) else taped_cls.constant(
+        a = x if isinstance(x, ADouble) else ADouble.constant(
             x, tape=y.tape  # type: ignore[union-attr]
         )
-        b = y if isinstance(y, ADouble) else taped_cls.constant(y, tape=a.tape)
+        b = y if isinstance(y, ADouble) else ADouble.constant(y, tape=a.tape)
         value = value_fn(a.value, b.value)
         pa, pb = _select_partials(a.value, b.value, picking_min)
         node = a.tape.record(
             op, value, (a.node.index, b.node.index), (pa, pb)
         )
-        return taped_cls(value, node, a.tape)
+        return ADouble(value, node, a.tape)
     if isinstance(x, Tangent) or isinstance(y, Tangent):
         a = x if isinstance(x, Tangent) else Tangent.lift(x)
         b = y if isinstance(y, Tangent) else Tangent.lift(y)
@@ -305,41 +235,21 @@ def maximum(x: Any, y: Any) -> Any:
 def clip(x: Any, lo: float, hi: float) -> Any:
     """Clamp to ``[lo, hi]`` in any mode (e.g. Sobel's pixel clipping)."""
     if isinstance(x, ADouble):
-        vec = _vec_module(x.value)
-        if vec is not None:
-            value = vec.clip(x.value, lo, hi)
-            partial = _vec_clip_partial(vec, x.value, lo, hi)
-        else:
-            value = ifn.clip(x.value, lo, hi)
-            if isinstance(x.value, Interval):
-                iv = x.value
-                if lo <= iv.lo and iv.hi <= hi:
-                    partial: Any = 1.0
-                elif iv.hi < lo or iv.lo > hi:
-                    partial = 0.0
-                else:
-                    partial = Interval(0.0, 1.0)
+        value = ifn.clip(x.value, lo, hi)
+        if isinstance(x.value, Interval):
+            iv = x.value
+            if lo <= iv.lo and iv.hi <= hi:
+                partial: Any = 1.0
+            elif iv.hi < lo or iv.lo > hi:
+                partial = 0.0
             else:
-                partial = 1.0 if lo <= x.value <= hi else 0.0
+                partial = Interval(0.0, 1.0)
+        else:
+            partial = 1.0 if lo <= x.value <= hi else 0.0
         # Clamp bounds are not recoverable from value/partial; the replay
         # engine needs them to recompute the node on fresh inputs.
         return x.record_unary("clip", value, partial, aux=(lo, hi))
     if isinstance(x, Tangent):
         inner = minimum(maximum(x, lo), hi)
         return inner
-    vec = _vec_module(x)
-    if vec is not None:
-        return vec.clip(x, lo, hi)
     return ifn.clip(x, lo, hi)
-
-
-def _vec_clip_partial(vec: Any, value: Any, lo: float, hi: float) -> Any:
-    """Per-lane clip subgradient: [1,1] inside, [0,0] outside, else [0,1]."""
-    import numpy as np
-
-    inside = (lo <= value.lo) & (value.hi <= hi)
-    outside = (value.hi < lo) | (value.lo > hi)
-    return vec.IntervalArray(
-        np.where(inside, 1.0, 0.0),
-        np.where(outside, 0.0, 1.0),
-    )

@@ -25,7 +25,6 @@ from .sequential import black_scholes_blocks
 __all__ = [
     "BlackScholesAnalysis",
     "analyse_option",
-    "analyse_portfolio_vec",
     "analyse_blackscholes",
 ]
 
@@ -170,81 +169,20 @@ def _lane_sig(
     return trace.lane_significances(trace.forward_lanes(lanes_lo, lanes_hi))
 
 
-def analyse_portfolio_vec(
-    spots: np.ndarray,
-    strikes: np.ndarray,
-    rates: np.ndarray,
-    volatilities: np.ndarray,
-    expiries: np.ndarray,
-    relative_uncertainty: float = 0.02,
-):
-    """Batched block analysis: every option is one lane of a single tape.
-
-    Records the BlackScholes DynDFG *once* with array-valued nodes and runs
-    one lane-parallel reverse sweep, returning a
-    :class:`repro.vec.VecSignificanceReport` whose labelled significances
-    are per-option arrays.  The kernel source is the same
-    :func:`black_scholes_blocks` the scalar analysis uses — only the
-    overloaded type changes.
-    """
-    from repro.vec import IntervalArray, VAnalysis
-
-    spots = np.asarray(spots, dtype=np.float64)
-    va = VAnalysis(lane_shape=spots.shape)
-    with va:
-        s = va.input(
-            IntervalArray.centered(spots, relative_uncertainty * spots),
-            name="S",
-        )
-        k = va.input(
-            IntervalArray.centered(
-                strikes, relative_uncertainty * np.asarray(strikes)
-            ),
-            name="K",
-        )
-        r = va.input(
-            IntervalArray.centered(
-                rates, relative_uncertainty * np.asarray(rates)
-            ),
-            name="r",
-        )
-        v = va.input(
-            IntervalArray.centered(
-                volatilities, relative_uncertainty * np.asarray(volatilities)
-            ),
-            name="v",
-        )
-        t = va.input(
-            IntervalArray.centered(
-                expiries, relative_uncertainty * np.asarray(expiries)
-            ),
-            name="T",
-        )
-        blocks = black_scholes_blocks(s, k, r, v, t)
-        for name in _BLOCKS:
-            va.intermediate(blocks[name], name)
-        va.output(blocks["call"], name="price")
-    return va.analyse()
-
-
 def analyse_blackscholes(
     portfolio: Portfolio | None = None,
     samples: int = 24,
     seed: int = 5,
-    vec: bool = False,
     replay: bool | None = None,
     executor=None,
     workers: int | None = None,
 ) -> BlackScholesAnalysis:
     """Averaged block significances over sampled options.
 
-    With ``vec=True`` the sampled options are analysed as lanes of one
-    batched tape (one reverse sweep total) instead of one scalar tape per
-    option; the same options are drawn either way, so the resulting block
-    ranking matches.  In the scalar path, ``replay`` (default: the module
-    replay setting) records the pricing trace on the first option and
-    replays every sampled option as one lane of a single sweep —
-    bit-identical per option to the recorded scalar analysis.
+    ``replay`` (default: the module replay setting) records the pricing
+    trace on the first option and replays every sampled option as one
+    lane of a single sweep — bit-identical per option to the recorded
+    scalar analysis.
     ``executor="process"`` additionally fans the replayed lanes out over
     ``workers`` processes (:mod:`repro.mp`) without changing a single bit
     of the result.
@@ -255,41 +193,26 @@ def analyse_blackscholes(
     chosen = rng.choice(
         portfolio.count, size=min(samples, portfolio.count), replace=False
     )
-    per_option: list[dict[str, float]] = []
-    if vec:
-        vreport = analyse_portfolio_vec(
-            portfolio.spots[chosen],
-            portfolio.strikes[chosen],
-            portfolio.rates[chosen],
-            portfolio.volatilities[chosen],
-            portfolio.expiries[chosen],
+    options = [
+        (
+            float(portfolio.spots[i]),
+            float(portfolio.strikes[i]),
+            float(portfolio.rates[i]),
+            float(portfolio.volatilities[i]),
+            float(portfolio.expiries[i]),
         )
-        lanes = vreport.labelled_significances()
-        per_option = [
-            {name: float(lanes[name][j]) for name in _BLOCKS}
-            for j in range(len(chosen))
-        ]
-    else:
-        options = [
-            (
-                float(portfolio.spots[i]),
-                float(portfolio.strikes[i]),
-                float(portfolio.rates[i]),
-                float(portfolio.volatilities[i]),
-                float(portfolio.expiries[i]),
-            )
-            for i in chosen
-        ]
-        replayed = (
-            _replay_options(options, executor=executor, workers=workers)
-            if replay_enabled(replay)
-            else None
-        )
-        per_option = (
-            replayed
-            if replayed is not None
-            else [analyse_option(*o) for o in options]
-        )
+        for i in chosen
+    ]
+    replayed = (
+        _replay_options(options, executor=executor, workers=workers)
+        if replay_enabled(replay)
+        else None
+    )
+    per_option = (
+        replayed
+        if replayed is not None
+        else [analyse_option(*o) for o in options]
+    )
     mean = {
         name: float(np.mean([p[name] for p in per_option])) for name in _BLOCKS
     }

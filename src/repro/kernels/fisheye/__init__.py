@@ -6,7 +6,6 @@ from .analysis import (
     analyse_bicubic,
     analyse_inverse_mapping,
     coordinate_significance_map,
-    coordinate_significance_vec,
 )
 from .bicubic import (
     PIXEL_PAIRS,
@@ -38,7 +37,6 @@ __all__ = [
     "analyse_inverse_mapping",
     "analyse_bicubic",
     "coordinate_significance_map",
-    "coordinate_significance_vec",
     "InverseMappingAnalysis",
     "BicubicAnalysis",
 ]

@@ -33,7 +33,6 @@ from .geometry import LensConfig, inverse_map_point
 __all__ = [
     "InverseMappingAnalysis",
     "analyse_inverse_mapping",
-    "coordinate_significance_vec",
     "coordinate_significance_map",
     "BicubicAnalysis",
     "analyse_bicubic",
@@ -120,8 +119,9 @@ def _gather_windows(
     xs: np.ndarray,
     ys: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Profile pass shared by the batched engines: for every output pixel,
-    the fractional source coordinates and the (centred) 4x4 window.
+    """Profile pass of :func:`coordinate_significance_map`: for every
+    output pixel, the fractional source coordinates and the (centred) 4x4
+    window.
 
     Returns ``(fx, fy, windows)`` with shapes ``(n,)``, ``(n,)`` and
     ``(n, 4, 4)``.
@@ -154,41 +154,6 @@ def _gather_windows(
         fx[k] = mx - ix
         fy[k] = my - iy
     return fx, fy, windows
-
-
-def coordinate_significance_vec(
-    config: LensConfig,
-    input_image: np.ndarray,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    coord_uncertainty: float = 0.5,
-) -> np.ndarray:
-    """Batched coordinate-imprecision significance for many output pixels.
-
-    Every ``(xs[k], ys[k])`` output pixel becomes one lane of a single
-    batched tape: the per-lane fractional source coordinates are the two
-    interval inputs, the per-lane (centred) 4x4 windows enter as passive
-    lane constants, and one reverse sweep yields the Figure 5 significance
-    of every sampled pixel at once.  Mirrors
-    :func:`_pixel_significance` lane-for-lane.
-    """
-    from repro.vec import IntervalArray, VAnalysis
-
-    fx, fy, windows = _gather_windows(config, input_image, xs, ys)
-    n = fx.size
-    va = VAnalysis(lane_shape=(n,))
-    with va:
-        tx = va.input(
-            IntervalArray.centered(fx, coord_uncertainty), name="x_frac"
-        )
-        ty = va.input(
-            IntervalArray.centered(fy, coord_uncertainty), name="y_frac"
-        )
-        window = [[windows[:, r, c] for c in range(4)] for r in range(4)]
-        value = bicubic_interp(window, tx, ty)
-        va.output(value, name="pixel")
-    sigs = va.analyse().input_significances()
-    return sigs["x_frac"] + sigs["y_frac"]
 
 
 def _record_coordinate_pixel(
@@ -231,35 +196,27 @@ def coordinate_significance_map(
     workers: int | None = None,
     chunk_lanes: int | None = None,
 ) -> np.ndarray:
-    """Replay-many twin of :func:`coordinate_significance_vec`.
+    """Batched coordinate-imprecision significance for many output pixels.
 
     Records the 18-input per-pixel trace once (on the first sampled
-    pixel) and replays every other output pixel as one lane of a single
-    forward + adjoint sweep over that frozen tape.  With
+    pixel) and replays every ``(xs[k], ys[k])`` output pixel as one lane
+    of a single forward + adjoint sweep over that frozen tape.  With
     ``executor="process"`` the lane sweep is chunked across ``workers``
     processes against a shared-memory copy of the tape
     (:func:`repro.mp.parallel_lane_significances`) — bitwise identical
-    to the sequential replay.  Falls back to
-    :func:`coordinate_significance_vec` if the trace cannot be replayed
-    for some lane (guard divergence).
+    to the sequential replay.  ``bicubic_interp`` has no taped
+    comparison, so every lane replays the recorded trace.
     """
-    from repro.ad.replay import GuardDivergenceError, ReplayError
-
     fx, fy, windows = _gather_windows(config, input_image, xs, ys)
     n = fx.size
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    try:
-        trace = CachedTrace(
-            _record_coordinate_pixel(
-                windows[0], float(fx[0]), float(fy[0]), coord_uncertainty
-            ),
-            simplify=False,
-        )
-    except ReplayError:
-        return coordinate_significance_vec(
-            config, input_image, xs, ys, coord_uncertainty
-        )
+    trace = CachedTrace(
+        _record_coordinate_pixel(
+            windows[0], float(fx[0]), float(fy[0]), coord_uncertainty
+        ),
+        simplify=False,
+    )
     # Lane bounds in tape input order: w_0_0 .. w_3_3, x_frac, y_frac.
     flat = windows.reshape(n, 16).T
     lanes_lo = np.concatenate(
@@ -268,29 +225,19 @@ def coordinate_significance_map(
     lanes_hi = np.concatenate(
         [flat, [fx + coord_uncertainty], [fy + coord_uncertainty]]
     )
-    try:
-        if executor is not None:
-            from repro.mp import (
-                parallel_lane_significances,
-                process_requested,
-            )
-        if executor is not None and process_requested(executor):
-            sig = parallel_lane_significances(
-                trace,
-                lanes_lo,
-                lanes_hi,
-                workers=workers,
-                chunk_lanes=chunk_lanes,
-                executor=None if isinstance(executor, str) else executor,
-            )
-        else:
-            sig = trace.lane_significances(
-                trace.forward_lanes(lanes_lo, lanes_hi)
-            )
-    except GuardDivergenceError:
-        return coordinate_significance_vec(
-            config, input_image, xs, ys, coord_uncertainty
+    if executor is not None:
+        from repro.mp import parallel_lane_significances, process_requested
+    if executor is not None and process_requested(executor):
+        sig = parallel_lane_significances(
+            trace,
+            lanes_lo,
+            lanes_hi,
+            workers=workers,
+            chunk_lanes=chunk_lanes,
+            executor=None if isinstance(executor, str) else executor,
         )
+    else:
+        sig = trace.lane_significances(trace.forward_lanes(lanes_lo, lanes_hi))
     return (
         sig[trace.label_index("x_frac")] + sig[trace.label_index("y_frac")]
     )
@@ -302,7 +249,6 @@ def analyse_inverse_mapping(
     grid: tuple[int, int] = (12, 16),
     jitter_samples: int = 4,
     seed: int = 17,
-    vec: bool = False,
     executor=None,
     workers: int | None = None,
 ) -> InverseMappingAnalysis:
@@ -312,12 +258,10 @@ def analyse_inverse_mapping(
     randomly jittered pixels inside the cell, averaging out the phase of
     the scene content so the radial envelope of the lens shows through.
 
-    With ``vec=True`` all ``grid_h * grid_w * jitter_samples`` pixels are
-    analysed as lanes of one batched tape (same jittered positions, one
-    reverse sweep total) instead of one scalar tape each.  With
-    ``executor="process"`` the pixels are lanes of one *replayed* trace
+    With ``executor="process"`` all ``grid_h * grid_w * jitter_samples``
+    pixels are lanes of one *replayed* trace
     (:func:`coordinate_significance_map`) fanned out across ``workers``
-    processes.
+    processes instead of one scalar tape each.
     """
     input_image = np.asarray(input_image, dtype=np.float64)
     gh, gw = grid
@@ -358,11 +302,6 @@ def analyse_inverse_mapping(
             py_all.ravel(),
             executor=executor,
             workers=workers,
-        )
-        sig = lane_sig.reshape(gh, gw, jitter_samples).mean(axis=2)
-    elif vec:
-        lane_sig = coordinate_significance_vec(
-            config, input_image, px_all.ravel(), py_all.ravel()
         )
         sig = lane_sig.reshape(gh, gw, jitter_samples).mean(axis=2)
     else:

@@ -26,7 +26,6 @@ from .sequential import combine_parts_pixel, sobel_parts_pixel
 __all__ = [
     "SobelAnalysis",
     "analyse_sobel_pixel",
-    "analyse_sobel_windows_vec",
     "analyse_sobel_map",
     "analyse_sobel_scan_map",
     "analyse_sobel",
@@ -108,79 +107,6 @@ def analyse_sobel_pixel(
     }
 
 
-def analyse_sobel_windows_vec(
-    windows: np.ndarray, pixel_uncertainty: float = 0.5
-) -> list[dict[str, float]]:
-    """Block significances for a stack of 3x3 windows — one batched tape.
-
-    ``windows`` has shape ``(n, 3, 3)``; each window becomes one lane, so
-    a single reverse sweep replaces ``n`` scalar analyses.
-    """
-    from repro.vec import IntervalArray, VAnalysis
-
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[1:] != (3, 3):
-        raise ValueError(f"expected (n, 3, 3) windows, got {windows.shape}")
-    va = VAnalysis(lane_shape=(windows.shape[0],))
-    with va:
-        taped = [
-            [
-                va.input(
-                    IntervalArray.centered(
-                        windows[:, dy, dx], pixel_uncertainty
-                    ),
-                    name=f"p{dy}{dx}",
-                )
-                for dx in range(3)
-            ]
-            for dy in range(3)
-        ]
-        parts = sobel_parts_pixel(taped)
-        for key, value in parts.items():
-            va.intermediate(value, key)
-        va.output(combine_parts_pixel(parts, smooth=True), name="pixel")
-    sigs = va.analyse().labelled_significances()
-    return [
-        {
-            "A": float(sigs["a_x"][i] + sigs["a_y"][i]),
-            "B": float(sigs["b_x"][i] + sigs["b_y"][i]),
-            "C": float(sigs["c_x"][i] + sigs["c_y"][i]),
-        }
-        for i in range(windows.shape[0])
-    ]
-
-
-def _record_sobel_map(image: np.ndarray, pixel_uncertainty: float):
-    """Record + sweep the whole-image batched Sobel tape (one lane per
-    pixel, edge-padded windows); returns the ``VecSignificanceReport``."""
-    from repro.vec import IntervalArray, VAnalysis
-
-    image = np.asarray(image, dtype=np.float64)
-    if image.ndim != 2 or min(image.shape) < 3:
-        raise ValueError("image too small for a 3x3 filter")
-    padded = np.pad(image, 1, mode="edge")
-    h, w = image.shape
-    va = VAnalysis(lane_shape=(h, w))
-    with va:
-        taped = [
-            [
-                va.input(
-                    IntervalArray.centered(
-                        padded[dy : dy + h, dx : dx + w], pixel_uncertainty
-                    ),
-                    name=f"p{dy}{dx}",
-                )
-                for dx in range(3)
-            ]
-            for dy in range(3)
-        ]
-        parts = sobel_parts_pixel(taped)
-        for key, value in parts.items():
-            va.intermediate(value, key)
-        va.output(combine_parts_pixel(parts, smooth=True), name="pixel")
-    return va.analyse()
-
-
 def _sobel_lane_bounds(
     image: np.ndarray, pixel_uncertainty: float, delta: float = 1e-6
 ):
@@ -213,21 +139,6 @@ def _sobel_lane_bounds(
             lanes_hi[row] = centre + pixel_uncertainty
             row += 1
     return trace, lanes_lo, lanes_hi
-
-
-def _replay_sobel_lanes(
-    image: np.ndarray, pixel_uncertainty: float, delta: float = 1e-6
-):
-    """Record the scalar pixel trace once, replay every pixel as a lane.
-
-    Returns ``(trace, lanes)`` — a :class:`CachedTrace` of the 3x3 Sobel
-    pixel and the :class:`repro.ad.ReplayLanes` of its batched forward
-    replay over all H×W edge-padded windows.
-    """
-    trace, lanes_lo, lanes_hi = _sobel_lane_bounds(
-        image, pixel_uncertainty, delta
-    )
-    return trace, trace.forward_lanes(lanes_lo, lanes_hi)
 
 
 def _lane_sig(
@@ -275,52 +186,37 @@ def _block_maps_from_sig(
 def analyse_sobel_map(
     image: np.ndarray,
     pixel_uncertainty: float = 0.5,
-    replay: bool | None = None,
     executor=None,
     workers: int | None = None,
 ) -> dict[str, np.ndarray]:
     """Per-pixel block significance maps over the *whole* image.
 
-    Every pixel of ``image`` is one lane of a single batched pass, so the
-    full H×W significance map of each block costs one recording and one
-    reverse sweep — the scalar engine would need one tape per pixel.
-    With ``replay`` (default: the module replay setting) the batched pass
-    is a forward *replay* of a single recorded scalar-pixel trace instead
-    of a batched re-recording; the replayed maps are bit-identical to
-    running :func:`analyse_sobel_pixel` at every pixel (the batched
-    re-recording agrees with the scalar analysis only to ~1e-9 relative).
-    ``executor="process"`` splits the replay into whole-row lane chunks
-    across ``workers`` processes (:mod:`repro.mp`) — same maps, bit for
-    bit.  Returns ``{"A": map, "B": map, "C": map}`` with each map shaped
-    like ``image``.
+    Records the scalar-pixel trace once and replays every pixel of
+    ``image`` as one lane of a single forward + reverse sweep, so the
+    full H×W significance map of each block costs one recording — the
+    maps are bit-identical to running :func:`analyse_sobel_pixel` at
+    every pixel.  ``executor="process"`` splits the replay into
+    whole-row lane chunks across ``workers`` processes (:mod:`repro.mp`)
+    — same maps, bit for bit.  Returns ``{"A": map, "B": map, "C": map}``
+    with each map shaped like ``image``.
     """
-    if replay_enabled(replay):
-        image = np.asarray(image, dtype=np.float64)
-        trace, lanes_lo, lanes_hi = _sobel_lane_bounds(
-            image, pixel_uncertainty
-        )
-        sig = _lane_sig(
-            trace,
-            lanes_lo,
-            lanes_hi,
-            executor=executor,
-            workers=workers,
-            align=image.shape[1],
-        )
-        return _block_maps_from_sig(trace, sig, image.shape)
-    sigs = _record_sobel_map(image, pixel_uncertainty).labelled_significances()
-    return {
-        "A": sigs["a_x"] + sigs["a_y"],
-        "B": sigs["b_x"] + sigs["b_y"],
-        "C": sigs["c_x"] + sigs["c_y"],
-    }
+    image = np.asarray(image, dtype=np.float64)
+    trace, lanes_lo, lanes_hi = _sobel_lane_bounds(image, pixel_uncertainty)
+    sig = _lane_sig(
+        trace,
+        lanes_lo,
+        lanes_hi,
+        executor=executor,
+        workers=workers,
+        align=image.shape[1],
+    )
+    return _block_maps_from_sig(trace, sig, image.shape)
 
 
 def analyse_sobel_scan_map(
     image: np.ndarray,
     pixel_uncertainty: float = 0.5,
     delta: float = 1e-6,
-    replay: bool | None = None,
     executor=None,
     workers: int | None = None,
 ) -> dict[str, "np.ndarray | Any"]:
@@ -328,47 +224,30 @@ def analyse_sobel_scan_map(
 
     Combines the block significance maps of :func:`analyse_sobel_map`
     with a lane-parallel Algorithm 1 variance scan
-    (:func:`repro.vec.lane_scan_map`): for every pixel, the first DynDFG
-    level whose significance variance exceeds ``delta``.  The scalar
-    equivalent is one full :func:`analyse_sobel_pixel` run per pixel.
-    With ``replay`` (default: the module replay setting), maps and scan
-    both come from a forward replay of one recorded scalar-pixel trace —
-    bit-identical to the per-pixel scalar analysis; ``executor="process"``
-    computes the significance matrix in whole-row chunks across
-    ``workers`` processes with identical bits (the scan itself stays in
-    the parent — it is one cheap pass over the matrix).
+    (:meth:`CachedTrace.lane_scan_map`): for every pixel, the first
+    DynDFG level whose significance variance exceeds ``delta``.  Maps and
+    scan are bit-identical to one full :func:`analyse_sobel_pixel` run
+    per pixel.  ``executor="process"`` computes the significance matrix
+    in whole-row chunks across ``workers`` processes with identical bits
+    (the scan itself stays in the parent — it is one cheap pass over the
+    matrix).
 
     Returns ``{"A": map, "B": map, "C": map, "scan": LaneScanMap}``.
     """
-    if replay_enabled(replay):
-        image = np.asarray(image, dtype=np.float64)
-        trace, lanes_lo, lanes_hi = _sobel_lane_bounds(
-            image, pixel_uncertainty, delta
-        )
-        sig = _lane_sig(
-            trace,
-            lanes_lo,
-            lanes_hi,
-            executor=executor,
-            workers=workers,
-            align=image.shape[1],
-        )
-        result: dict[str, Any] = _block_maps_from_sig(
-            trace, sig, image.shape
-        )
-        result["scan"] = trace.lane_scan_map(sig, image.shape, delta=delta)
-        return result
-
-    from repro.vec import lane_scan_map
-
-    vreport = _record_sobel_map(image, pixel_uncertainty)
-    sigs = vreport.labelled_significances()
-    result = {
-        "A": sigs["a_x"] + sigs["a_y"],
-        "B": sigs["b_x"] + sigs["b_y"],
-        "C": sigs["c_x"] + sigs["c_y"],
-    }
-    result["scan"] = lane_scan_map(vreport, delta=delta)
+    image = np.asarray(image, dtype=np.float64)
+    trace, lanes_lo, lanes_hi = _sobel_lane_bounds(
+        image, pixel_uncertainty, delta
+    )
+    sig = _lane_sig(
+        trace,
+        lanes_lo,
+        lanes_hi,
+        executor=executor,
+        workers=workers,
+        align=image.shape[1],
+    )
+    result: dict[str, Any] = _block_maps_from_sig(trace, sig, image.shape)
+    result["scan"] = trace.lane_scan_map(sig, image.shape, delta=delta)
     return result
 
 
@@ -377,17 +256,13 @@ def analyse_sobel(
     samples: int = 16,
     pixel_uncertainty: float = 0.5,
     seed: int = 3,
-    vec: bool = False,
     compiled: bool = False,
     replay: bool | None = None,
 ) -> SobelAnalysis:
     """Profile-driven analysis over sampled interior pixels of ``image``.
 
-    With ``vec=True`` the sampled windows are analysed as lanes of one
-    batched tape (same sampled pixels, one reverse sweep total).  In the
-    scalar path, ``replay`` (default: the module replay setting) records
-    the pixel trace on the first sampled window and replays it on the
-    rest.
+    ``replay`` (default: the module replay setting) records the pixel
+    trace on the first sampled window and replays it on the rest.
     """
     image = np.asarray(image, dtype=np.float64)
     h, w = image.shape
@@ -399,24 +274,16 @@ def analyse_sobel(
         y = int(rng.integers(1, h - 1))
         x = int(rng.integers(1, w - 1))
         positions.append((y, x))
-    if vec:
-        windows = np.stack(
-            [image[y - 1 : y + 2, x - 1 : x + 2] for y, x in positions]
+    cache = TraceCache() if replay_enabled(replay) else None
+    per_pixel = [
+        analyse_sobel_pixel(
+            image[y - 1 : y + 2, x - 1 : x + 2],
+            pixel_uncertainty=pixel_uncertainty,
+            compiled=compiled,
+            cache=cache,
         )
-        per_pixel = analyse_sobel_windows_vec(
-            windows, pixel_uncertainty=pixel_uncertainty
-        )
-    else:
-        cache = TraceCache() if replay_enabled(replay) else None
-        per_pixel = [
-            analyse_sobel_pixel(
-                image[y - 1 : y + 2, x - 1 : x + 2],
-                pixel_uncertainty=pixel_uncertainty,
-                compiled=compiled,
-                cache=cache,
-            )
-            for y, x in positions
-        ]
+        for y, x in positions
+    ]
     mean = {
         key: float(np.mean([p[key] for p in per_pixel]))
         for key in ("A", "B", "C")

@@ -1,9 +1,9 @@
 """repro.obs — zero-dependency structured tracing, metrics and profiling.
 
 The analysis pipeline grew from one object tape into a multi-backend
-stack (object tape, compiled SoA tape, vec lanes, record-once/replay-many
-trace cache) and a significance-aware task runtime.  This package is the
-shared observability layer for all of them:
+stack (object tape, compiled SoA tape, record-once/replay-many trace
+cache with lane-batched replay) and a significance-aware task runtime.
+This package is the shared observability layer for all of them:
 
 * :mod:`repro.obs.trace` — nestable wall-clock **spans** recorded into an
   in-memory ring buffer.  Tracing is off by default; the disabled path is

@@ -17,6 +17,7 @@ from .advisor import Suggestion, render_advice, suggest_approximations
 from .api import Analysis, analyse_function
 from .compare import ReportDiff, compare_reports
 from .compiled import (
+    LaneScanMap,
     TraceStructure,
     analyse_compiled,
     analyse_compiled_tape,
@@ -58,6 +59,7 @@ __all__ = [
     "analyse_compiled_tape",
     "analyse_replay_lanes",
     "TraceStructure",
+    "LaneScanMap",
     "CachedTrace",
     "TapeStore",
     "STORE_VERSION",

@@ -14,7 +14,8 @@ the same algorithm on the compiled tape's flat arrays:
   identical;
 * S5 with an array BFS over the CSR edges (:func:`levels_from_parents`)
   and the exact sequential-float variance of
-  :func:`repro.scorpio.variance.level_variance` (:func:`scan_levels`);
+  :func:`repro.scorpio.variance.level_variance` (:func:`scan_levels`, and
+  per lane of a replay in one pass: :class:`LaneScanMap`);
 * a DynDFG/report adapter (:func:`analyse_compiled`) that materializes the
   same ``SignificanceReport`` objects the object pipeline produces —
   byte-identical through :func:`repro.scorpio.serialize.report_to_json`.
@@ -28,6 +29,7 @@ against.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from itertools import chain
 from typing import Any, Mapping, Sequence
 
@@ -46,6 +48,7 @@ from .simplify import AGGREGATE_OPS
 from .variance import VarianceScan
 
 __all__ = [
+    "LaneScanMap",
     "analyse_compiled",
     "analyse_compiled_tape",
     "analyse_replay_lanes",
@@ -178,8 +181,8 @@ def simplify_structure(
     :func:`repro.scorpio.simplify.simplify`.
 
     Returns ``(survivor ids ascending, id -> parents, id -> merged)``.
-    Only the graph *structure* matters here, so the batched bridge can run
-    it once and reuse it for every lane.
+    Only the graph *structure* matters here, so a replayed trace runs it
+    once and reuses it for every lane.
     """
     n = len(ops)
     flat = np.fromiter(chain.from_iterable(parents), dtype=np.int64)
@@ -354,6 +357,89 @@ def scan_grouped(
     return None, variances
 
 
+@dataclass
+class LaneScanMap:
+    """Per-lane S5 results for a whole lane-batched replay.
+
+    Attributes:
+        lane_shape: the batch's lane shape.
+        found_level: int array over lanes — first BFS level whose
+            significance variance exceeds ``delta`` in that lane, or -1
+            when the scan reached the inputs without finding one (the
+            scalar scan's ``found_level is None``).
+        variances: per-level variance arrays over lanes.  Levels are
+            scanned until every lane has found a partition level, so a
+            lane that found level 2 still gets level-3+ entries here if
+            some other lane scanned deeper (the scalar per-lane scan
+            stops earlier; entries up to a lane's found level are
+            bit-identical to it).
+        delta: the threshold used.
+    """
+
+    lane_shape: tuple[int, ...]
+    found_level: np.ndarray
+    variances: dict[int, np.ndarray] = field(default_factory=dict)
+    delta: float = 1e-6
+
+
+def _scan_columns(
+    sig: np.ndarray,
+    lane_shape: tuple[int, ...],
+    members_by_level: Mapping[int, Sequence[int]],
+    *,
+    delta: float,
+) -> LaneScanMap:
+    """:func:`scan_grouped` for every column of an ``(n_nodes, n_lanes)``
+    significance matrix at once — one pass over the levels, each computing
+    a whole array of variances, bit-identical per lane to the scalar scan.
+    """
+    height = (max(members_by_level) + 1) if members_by_level else 0
+    lanes = sig.shape[1]
+    found = np.full(lanes, -1, dtype=np.int64)
+    variances: dict[int, np.ndarray] = {}
+    for level in range(1, height):
+        ids = members_by_level.get(level, [])
+        if len(ids) < 2:
+            var = np.zeros(lanes)
+        else:
+            # Same association order as level_variance: sequential sum
+            # over members in ascending id order, population variance.
+            total = sig[ids[0]].copy()
+            for i in ids[1:]:
+                total += sig[i]
+            mean = total / len(ids)
+            sq = np.zeros(lanes)
+            for i in ids:
+                sq += _square(sig[i] - mean)
+            var = sq / len(ids)
+        variances[level] = var.reshape(lane_shape)
+        newly = (found < 0) & (var > delta)
+        found[newly] = level
+        if (found >= 0).all():
+            break
+    return LaneScanMap(
+        lane_shape=lane_shape,
+        found_level=found.reshape(lane_shape),
+        variances=variances,
+        delta=delta,
+    )
+
+
+def _square(diff: np.ndarray) -> np.ndarray:
+    """``diff ** 2`` elementwise through Python's ``float.__pow__``.
+
+    Keeps every variance bit-identical to the scalar scan's
+    ``(s - mean) ** 2`` chain: libm ``pow`` differs from a plain multiply
+    by 1 ulp on ~0.1% of inputs, which could flip a found level when a
+    variance lands within 1 ulp of ``delta``.
+    """
+    return np.fromiter(
+        (x ** 2 for x in diff.tolist()),
+        dtype=np.float64,
+        count=diff.size,
+    )
+
+
 # ----------------------------------------------------------------------
 # Materialization (arrays -> DynDFG / SignificanceReport)
 # ----------------------------------------------------------------------
@@ -451,73 +537,6 @@ def build_graph(
         for i in ids
     ]
     return DynDFG(nodes, list(outputs), levels=dict(levels))
-
-
-def _scan_and_assemble(
-    *,
-    lazy_graph,
-    raw,
-    simplified,
-    surv,
-    s_parents,
-    s_merged,
-    s_levels,
-    sig_list,
-    delta,
-    input_ids,
-    intermediate_ids,
-    output_ids,
-    labels,
-    n,
-    scan_members=None,
-):
-    """S5 + report assembly shared by :func:`analyse_compiled` and the
-    batched bridge: variance-scan the simplified structure, truncate if a
-    level is found, wrap everything in a :class:`_CompiledReport`.
-
-    ``scan_members`` is the precomputed :func:`group_levels` of the
-    surviving nodes (structural; replay loops reuse it across calls)."""
-    if scan_members is None:
-        scan_members = group_levels(
-            {i: s_levels[i] for i in surv if i in s_levels}
-        )
-    _C_SCANS.inc()
-    with _obs_span("scorpio.scan") as sp:
-        found, variances = scan_grouped(scan_members, sig_list, delta)
-        _C_SCAN_LEVELS.inc(len(variances))
-        sp.set(levels=len(variances), found=found)
-    if found is None:
-        scan_graph = simplified
-    else:
-        keep = [
-            i for i in surv if i in s_levels and s_levels[i] <= found + 1
-        ]
-        keep_set = set(keep)
-        k_parents = {
-            i: tuple(p for p in s_parents[i] if p in keep_set) for i in keep
-        }
-        # Truncation preserves BFS levels: every shortest path from a kept
-        # node runs through strictly smaller levels, hence through kept
-        # nodes only.
-        scan_graph = lazy_graph(
-            keep, k_parents, s_merged, {i: s_levels[i] for i in keep}
-        )
-
-    scan = VarianceScan(
-        graph=scan_graph, found_level=found, delta=delta, variances=variances
-    )
-    report = _CompiledReport(
-        raw_graph=raw,
-        simplified_graph=simplified,
-        scan=scan,
-        input_ids=list(input_ids),
-        intermediate_ids=list(intermediate_ids),
-        output_ids=list(output_ids),
-    )
-    report._labels = labels
-    report._sig = sig_list
-    report._n = n
-    return report
 
 
 class TraceStructure:
@@ -757,7 +776,9 @@ def _assemble_from_columns(
     output_ids,
     n,
 ) -> SignificanceReport:
-    """Graphs + S5 + report from one analysis' scalar columns.
+    """Graphs + S5 + report from one analysis' scalar columns: variance-
+    scan the simplified structure, truncate if a level is found, wrap
+    everything in a :class:`_CompiledReport`.
 
     Shared verbatim by the scalar replay path and the per-lane slices of
     a batched replay (:func:`analyse_replay_lanes`) — sharing the code is
@@ -819,23 +840,49 @@ def _assemble_from_columns(
     else:
         simplified = raw
 
-    return _scan_and_assemble(
-        lazy_graph=lazy_graph,
-        raw=raw,
-        simplified=simplified,
-        surv=structure.surv,
-        s_parents=structure.s_parents,
-        s_merged=structure.s_merged,
-        s_levels=structure.s_levels,
-        sig_list=sig_list,
-        delta=delta,
-        input_ids=input_ids,
-        intermediate_ids=intermediate_ids,
-        output_ids=output_ids,
-        labels=labels,
-        n=n,
-        scan_members=structure.scan_members(),
+    _C_SCANS.inc()
+    with _obs_span("scorpio.scan") as sp:
+        found, variances = scan_grouped(
+            structure.scan_members(), sig_list, delta
+        )
+        _C_SCAN_LEVELS.inc(len(variances))
+        sp.set(levels=len(variances), found=found)
+    if found is None:
+        scan_graph = simplified
+    else:
+        s_levels = structure.s_levels
+        keep = [
+            i
+            for i in structure.surv
+            if i in s_levels and s_levels[i] <= found + 1
+        ]
+        keep_set = set(keep)
+        k_parents = {
+            i: tuple(p for p in structure.s_parents[i] if p in keep_set)
+            for i in keep
+        }
+        # Truncation preserves BFS levels: every shortest path from a kept
+        # node runs through strictly smaller levels, hence through kept
+        # nodes only.
+        scan_graph = lazy_graph(
+            keep, k_parents, structure.s_merged, {i: s_levels[i] for i in keep}
+        )
+
+    scan = VarianceScan(
+        graph=scan_graph, found_level=found, delta=delta, variances=variances
     )
+    report = _CompiledReport(
+        raw_graph=raw,
+        simplified_graph=simplified,
+        scan=scan,
+        input_ids=list(input_ids),
+        intermediate_ids=list(intermediate_ids),
+        output_ids=list(output_ids),
+    )
+    report._labels = labels
+    report._sig = sig_list
+    report._n = n
+    return report
 
 
 def analyse_compiled(

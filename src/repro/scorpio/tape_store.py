@@ -193,8 +193,8 @@ class TapeStore:
         """Serialize a :class:`CachedTrace`'s compiled tape; False on error.
 
         The caller is expected to hold the trace's replay lock (the
-        value columns are read while serializing); :class:`TraceCache`
-        saves right after recording, before any replay can run.
+        value columns are read while serializing), as :class:`TraceCache`
+        does.
         """
         try:
             self._save(key, trace)

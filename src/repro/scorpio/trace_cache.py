@@ -70,7 +70,9 @@ from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span as _obs_span
 
 from .compiled import (
+    LaneScanMap,
     TraceStructure,
+    _scan_columns,
     analyse_compiled_tape,
     analyse_replay_lanes,
     eq11_from_sweep,
@@ -307,8 +309,8 @@ class CachedTrace:
         return self._analyse_current()
 
     # ------------------------------------------------------------------
-    # Lane-batched replay (the cached-trace twin of repro.vec's
-    # lane analysis: one forward + one reverse sweep for L input sets)
+    # Lane-batched replay: one forward + one reverse sweep for L input
+    # sets
     # ------------------------------------------------------------------
     def label_index(self, label: str) -> int:
         """Node index carrying ``label`` (input/intermediate/output tag)."""
@@ -349,21 +351,15 @@ class CachedTrace:
         lane_shape: tuple[int, ...],
         *,
         delta: float | None = None,
-        exact_variance: bool = True,
-    ):
+    ) -> LaneScanMap:
         """Lane-parallel Algorithm 1 S5 over a replayed significance
-        matrix — the cached-trace twin of :func:`repro.vec.lane_scan_map`
-        (same scan, structure taken from this trace instead of a batched
-        recording)."""
-        from repro.vec.bridge import _scan_columns
-
+        matrix (:meth:`lane_significances`), over this trace's structure.
+        Entry ``l`` is bit-identical to the scalar scan of lane ``l``."""
         return _scan_columns(
             sig,
             lane_shape,
-            self.structure.surv,
-            self.structure.s_levels,
+            self.structure.scan_members(),
             delta=self.delta if delta is None else delta,
-            exact_variance=exact_variance,
         )
 
     def analyse_batch(
@@ -411,13 +407,11 @@ class CachedTrace:
         )
 
     def lane_report(self, lanes, lane: int) -> SignificanceReport:
-        """Full scalar report for one lane of a batched replay — the
-        cached-trace twin of :func:`repro.vec.lane_report`.
+        """Full scalar report for one lane of a batched replay.
 
         Re-forwards that lane's input intervals scalar-ly over the trace
         and analyses, so the report is byte-identical to recording the
-        lane from scratch (and to ``repro.vec.lane_report`` of an
-        equivalent batched recording).
+        lane from scratch.
         """
         inputs = [
             Interval(
@@ -565,9 +559,14 @@ class TraceCache:
                     with self._lock:
                         self._traces[key] = None
                 else:
+                    # Analyse the recorded values before publishing: once
+                    # the trace is in the map, other threads replay into
+                    # its arrays.
+                    with trace.lock:
+                        report = trace._analyse_current()
                     with self._lock:
                         self._traces[key] = trace
-                    return trace._analyse_current()
+                    return report
             return analysis.analyse(simplify=simplify, compiled=True)
 
     def analyse(
@@ -663,13 +662,16 @@ class TraceCache:
         return trace
 
     def _save_to_store(self, key: Any) -> None:
-        """Best-effort persist of a freshly recorded trace (lock held)."""
+        """Best-effort persist of a freshly recorded trace (record lock
+        held).  The trace is already published, so warm requests may be
+        replaying into it: the save holds its replay lock too."""
         if self.store is None:
             return
         with self._lock:
             trace = self._traces.get(key)
         if trace is not None:
-            self.store.save(key, trace)
+            with trace.lock:
+                self.store.save(key, trace)
 
     def analyse_batch_outcome(
         self,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.images import checkerboard, gradient_image, natural_image
+from repro.intervals import Interval
 from repro.kernels.sobel import (
     analyse_sobel,
     analyse_sobel_pixel,
@@ -15,6 +16,11 @@ from repro.kernels.sobel import (
     sobel_pixel,
     sobel_reference,
     sobel_significance,
+)
+from repro.kernels.sobel.analysis import (
+    _record_sobel_pixel,
+    analyse_sobel_map,
+    analyse_sobel_scan_map,
 )
 from repro.metrics import psnr
 
@@ -93,6 +99,56 @@ class TestAnalysis:
     def test_small_image_rejected(self):
         with pytest.raises(ValueError):
             analyse_sobel(np.zeros((2, 2)))
+
+
+class TestWholeImageMaps:
+    """The lane-replayed maps against the per-pixel scalar analyses."""
+
+    @pytest.fixture(scope="class")
+    def map_image(self):
+        return natural_image(48, 48, seed=5)
+
+    def test_full_image_map(self, map_image):
+        maps = analyse_sobel_map(map_image)
+        assert set(maps) == {"A", "B", "C"}
+        for arr in maps.values():
+            assert arr.shape == map_image.shape
+            assert (arr >= 0.0).all()
+        # The paper's A:B ~ 2:1 ratio holds pixel-wise, not just on average.
+        interior = (slice(1, -1), slice(1, -1))
+        ratio = maps["A"][interior] / np.maximum(maps["B"][interior], 1e-12)
+        assert np.median(ratio) == pytest.approx(2.0, rel=0.25)
+
+    def test_map_bitwise_equal_to_per_pixel_analysis(self, map_image):
+        maps = analyse_sobel_map(map_image)
+        for y, x in [(7, 9), (20, 20), (33, 12)]:
+            scalar = analyse_sobel_pixel(
+                map_image[y - 1 : y + 2, x - 1 : x + 2]
+            )
+            for key in ("A", "B", "C"):
+                assert maps[key][y, x] == scalar[key]
+
+    def test_scan_map_bitwise_equal_to_object_engine(self):
+        image = natural_image(14, 12, seed=3)
+        image[3:9, 4:11] = 120.0  # flat patch: some lanes find no level
+        scan = analyse_sobel_scan_map(image)["scan"]
+        padded = np.pad(image, 1, mode="edge")
+        unfound = 0
+        for y in range(image.shape[0]):
+            for x in range(image.shape[1]):
+                window = padded[y : y + 3, x : x + 3]
+                ivs = [
+                    Interval.centered(float(window[dy, dx]), 0.5)
+                    for dy in range(3)
+                    for dx in range(3)
+                ]
+                ref = _record_sobel_pixel(ivs).analyse(compiled=False).scan
+                expected = -1 if ref.found_level is None else ref.found_level
+                assert int(scan.found_level[y, x]) == expected
+                unfound += expected == -1
+                for level, var in ref.variances.items():
+                    assert float(scan.variances[level][y, x]) == var
+        assert unfound > 0
 
 
 class TestSignificanceVersion:

@@ -168,10 +168,8 @@ class TestWiredEntryPoints:
         from repro.kernels.sobel.analysis import analyse_sobel_map
 
         image = natural_image(20, 24, seed=5)
-        seq = analyse_sobel_map(image, replay=True)
-        par = analyse_sobel_map(
-            image, replay=True, executor="process", workers=2
-        )
+        seq = analyse_sobel_map(image)
+        par = analyse_sobel_map(image, executor="process", workers=2)
         for key in ("A", "B", "C"):
             assert par[key].tobytes() == seq[key].tobytes()
 
@@ -180,10 +178,8 @@ class TestWiredEntryPoints:
         from repro.kernels.sobel.analysis import analyse_sobel_scan_map
 
         image = natural_image(18, 22, seed=9)
-        seq = analyse_sobel_scan_map(image, replay=True)
-        par = analyse_sobel_scan_map(
-            image, replay=True, executor="process", workers=2
-        )
+        seq = analyse_sobel_scan_map(image)
+        par = analyse_sobel_scan_map(image, executor="process", workers=2)
         for key in ("A", "B", "C"):
             assert par[key].tobytes() == seq[key].tobytes()
         assert np.array_equal(

@@ -232,22 +232,52 @@ class TestAnalyseOutcome:
 
 class TestConcurrency:
     def test_cold_race_records_once(self):
-        """N threads race a cold key: one recording, the rest replay."""
+        """N threads race a cold key: one recording, the rest replay.
+
+        Repeated over fresh caches because the recorder's first analysis
+        and the racers' replays interleave differently every round; every
+        thread must get the byte-identical report for its own inputs.
+        """
+        import sys
+        import threading
+
+        n = 8
+        inputs = [_ivs(0.5 + seed / 100.0, 1.2) for seed in range(n)]
+        expected = [
+            report_to_json(_direct(_record_poly, ivs)) for ivs in inputs
+        ]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            rounds = [self._cold_race_round(n, inputs) for _ in range(50)]
+        finally:
+            sys.setswitchinterval(switch)
+        for cache, served in rounds:
+            outcomes = [outcome for outcome, _ in served]
+            assert outcomes.count("record") == 1
+            assert outcomes.count("replay") == n - 1
+            stats = cache.stats()
+            assert stats["records"] == 1
+            assert stats["replays"] == n - 1
+            assert stats["traces"] == 1
+            assert [body for _, body in served] == expected
+
+    @staticmethod
+    def _cold_race_round(n, inputs):
+        """One race of ``n`` threads on a fresh cache's cold key; returns
+        the cache and each thread's ``(outcome, report JSON)``."""
         import threading
 
         cache = TraceCache()
-        n = 8
         barrier = threading.Barrier(n)
-        results: list[tuple[str, int, str]] = []
-        lock = threading.Lock()
+        served: list[tuple[str, str]] = [None] * n
 
-        def worker(seed: int) -> None:
-            barrier.wait()
+        def worker(i: int) -> None:
+            barrier.wait(timeout=30)
             report, outcome = cache.analyse_outcome(
-                ("poly",), _record_poly, _ivs(0.5 + seed / 100.0, 1.2)
+                ("poly",), _record_poly, inputs[i]
             )
-            with lock:
-                results.append((outcome, seed, report_to_json(report)))
+            served[i] = (outcome, report_to_json(report))
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(n)
@@ -255,19 +285,9 @@ class TestConcurrency:
         for t in threads:
             t.start()
         for t in threads:
-            t.join()
-
-        outcomes = [o for o, _, _ in results]
-        assert outcomes.count("record") == 1
-        assert outcomes.count("replay") == n - 1
-        stats = cache.stats()
-        assert stats["records"] == 1
-        assert stats["replays"] == n - 1
-        assert stats["traces"] == 1
-        # Every thread still gets the byte-identical report for its inputs.
-        for _, seed, served in results:
-            ref = _direct(_record_poly, _ivs(0.5 + seed / 100.0, 1.2))
-            assert served == report_to_json(ref)
+            t.join(timeout=30)
+            assert not t.is_alive()
+        return cache, served
 
     def test_threads_replay_byte_identical(self):
         import threading
