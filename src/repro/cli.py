@@ -181,19 +181,12 @@ def build_parser() -> argparse.ArgumentParser:
         "the trace is identical (TraceCache validate mode)",
     )
     ps.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="micro-batching window: how long the first /analyse request "
-        "of a quiet period waits for companions to share its replay "
-        "sweep (0 batches only what is already queued)",
-    )
-    ps.add_argument(
         "--max-batch",
         type=int,
         default=16,
         help="max /analyse requests coalesced into one lane-batched "
-        "sweep (1 disables micro-batching)",
+        "sweep; requests that queue while a batch runs form the next "
+        "one (1 disables micro-batching)",
     )
     ps.add_argument(
         "--tape-dir",
@@ -379,7 +372,6 @@ def _cmd_serve(args: argparse.Namespace) -> str:
         request_timeout=args.request_timeout,
         validate=args.validate,
         executor=args.executor,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         store_dir=args.tape_dir,
         default_slo_ms=args.default_slo_ms,

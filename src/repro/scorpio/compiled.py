@@ -454,10 +454,12 @@ class _LazyDynDFG(DynDFG):
     objects.
     """
 
-    def __init__(self, build, outputs: Sequence[int]):
+    def __init__(self, build, outputs: Sequence[int], columns: tuple):
         self._build = build
         self._materialized: dict[int, DFGNode] | None = None
         self.outputs = list(outputs)
+        # (ids, parents, merged, levels) the nodes are built from.
+        self.columns = columns
 
     @property  # type: ignore[override]
     def nodes(self) -> dict[int, DFGNode]:
@@ -476,9 +478,15 @@ class _CompiledReport(SignificanceReport):
     16k ``DFGNode`` objects to look up a handful of labels.
     """
 
+    # The columns the graphs are built from (set by
+    # _assemble_from_columns); report_to_json writes straight from them.
     _labels: dict[int, str]
     _sig: list[float]
     _n: int
+    _ops: list[str]
+    _values: tuple[list, list, list]  # lo, hi, is-interval flags
+    _adjoint_columns: Any  # thunk -> (lo list, hi list or None)
+    _simplified_n: int
 
     def labelled_significances(self) -> dict[str, float]:
         out: dict[str, float] = {}
@@ -701,19 +709,7 @@ def _analyse_compiled_tape(
                 value_lo, value_hi, alo, ahi, interval_mode=interval
             )
             sp.set(nodes=n, outputs=1)
-        if interval:
-
-            def build_adjoints() -> list[Any]:
-                return [
-                    Interval(lo, hi)
-                    for lo, hi in zip(alo.tolist(), ahi.tolist())
-                ]
-
-        else:
-
-            def build_adjoints() -> list[Any]:
-                return alo.tolist()
-
+        adjoint_columns = _adjoint_columns(alo, ahi, interval)
     else:
         lo, hi = ct.adjoint_vector(output_ids)
         with _obs_span("scorpio.eq11") as sp:
@@ -726,18 +722,7 @@ def _analyse_compiled_tape(
                 scratch=ct._scratch,
             )
             sp.set(nodes=n, outputs=len(output_ids))
-
-        def build_adjoints() -> list[Any]:
-            # significance_map_vector keeps the hull of the per-output
-            # adjoints on every node, interval tape or not.  `lo`/`hi`
-            # are fresh per sweep, so deferring the hulls to first graph
-            # access is safe and keeps them off the replay hot path.
-            hull_lo = np.min(lo, axis=1)
-            hull_hi = np.max(hi, axis=1)
-            return [
-                Interval(l, h)
-                for l, h in zip(hull_lo.tolist(), hull_hi.tolist())
-            ]
+        adjoint_columns = _hull_columns(lo, hi)
 
     # Snapshot the value columns eagerly: a later `ct.forward` overwrites
     # them in place, and the report's lazy graph must keep showing the
@@ -749,7 +734,7 @@ def _analyse_compiled_tape(
         vlo_snap=value_lo.tolist(),
         vhi_snap=value_hi.tolist(),
         is_iv_snap=ct.value_is_interval.tolist(),
-        build_adjoints=build_adjoints,
+        adjoint_columns=adjoint_columns,
         labels=ct.labels,
         delta=delta,
         simplify=simplify,
@@ -760,6 +745,25 @@ def _analyse_compiled_tape(
     )
 
 
+def _adjoint_columns(alo: np.ndarray, ahi: np.ndarray, interval: bool):
+    """Thunk of one sweep's adjoint columns as ``(lo list, hi list)``;
+    ``hi`` is None for float tapes, whose adjoints are plain floats.
+
+    The arrays are fresh per sweep, so deferring the ``tolist`` keeps it
+    off the replay hot path until a graph or the JSON writer needs it.
+    """
+    if interval:
+        return lambda: (alo.tolist(), ahi.tolist())
+    return lambda: (alo.tolist(), None)
+
+
+def _hull_columns(lo: np.ndarray, hi: np.ndarray):
+    """Thunk of the per-node hull of ``(n, m)`` per-output adjoints:
+    significance_map_vector keeps that hull on every node, interval tape
+    or not."""
+    return lambda: (np.min(lo, axis=1).tolist(), np.max(hi, axis=1).tolist())
+
+
 def _assemble_from_columns(
     *,
     structure: TraceStructure,
@@ -767,7 +771,7 @@ def _assemble_from_columns(
     vlo_snap: list,
     vhi_snap: list,
     is_iv_snap: list,
-    build_adjoints,
+    adjoint_columns,
     labels,
     delta,
     simplify,
@@ -782,15 +786,26 @@ def _assemble_from_columns(
 
     Shared verbatim by the scalar replay path and the per-lane slices of
     a batched replay (:func:`analyse_replay_lanes`) — sharing the code is
-    what keeps a lane's report byte-identical to its scalar twin.
+    what keeps a lane's report byte-identical to its scalar twin.  The
+    report keeps the columns, so :func:`repro.scorpio.serialize.
+    report_to_json` can write it without building a graph.
     """
     ops = structure.ops
+    column_memo: list[Any] = []
     adjoint_memo: list[Any] = []
     value_memo: list[Any] = []
 
+    def columns() -> tuple[list, list | None]:
+        if not column_memo:
+            column_memo.append(adjoint_columns())
+        return column_memo[0]
+
     def adjoints() -> list[Any]:
         if not adjoint_memo:
-            adjoint_memo.append(build_adjoints())
+            lo, hi = columns()
+            adjoint_memo.append(
+                lo if hi is None else [Interval(l, h) for l, h in zip(lo, hi)]
+            )
         return adjoint_memo[0]
 
     def values() -> list[Any]:
@@ -825,7 +840,7 @@ def _assemble_from_columns(
                 for i in ids
             }
 
-        return _LazyDynDFG(build, output_ids)
+        return _LazyDynDFG(build, output_ids, (ids, parents, merged, levels))
 
     raw = lazy_graph(
         range(n), structure.raw_parents, None, structure.raw_levels
@@ -882,6 +897,10 @@ def _assemble_from_columns(
     report._labels = labels
     report._sig = sig_list
     report._n = n
+    report._ops = ops
+    report._values = (vlo_snap, vhi_snap, is_iv_snap)
+    report._adjoint_columns = columns
+    report._simplified_n = len(structure.surv)
     return report
 
 
@@ -971,26 +990,10 @@ def analyse_replay_lanes(
             def lane_sig(lane: int) -> list:
                 return sig[:, lane].tolist()
 
-            if interval:
-
-                def lane_adjoints(lane: int):
-                    def build() -> list[Any]:
-                        return [
-                            Interval(lo, hi)
-                            for lo, hi in zip(
-                                alo[:, lane].tolist(), ahi[:, lane].tolist()
-                            )
-                        ]
-
-                    return build
-
-            else:
-
-                def lane_adjoints(lane: int):
-                    def build() -> list[Any]:
-                        return alo[:, lane].tolist()
-
-                    return build
+            def lane_adjoints(lane: int):
+                return _adjoint_columns(
+                    alo[:, lane], ahi[:, lane], interval
+                )
 
         else:
             lo, hi = lanes.adjoint_vector(output_ids)
@@ -1012,15 +1015,7 @@ def analyse_replay_lanes(
                 return s.tolist()
 
             def lane_adjoints(lane: int):
-                def build() -> list[Any]:
-                    hull_lo = np.min(lo[:, lane, :], axis=1)
-                    hull_hi = np.max(hi[:, lane, :], axis=1)
-                    return [
-                        Interval(a, b)
-                        for a, b in zip(hull_lo.tolist(), hull_hi.tolist())
-                    ]
-
-                return build
+                return _hull_columns(lo[:, lane, :], hi[:, lane, :])
 
         reports = []
         for lane in range(L):
@@ -1031,7 +1026,7 @@ def analyse_replay_lanes(
                     vlo_snap=vlo[:, lane].tolist(),
                     vhi_snap=vhi[:, lane].tolist(),
                     is_iv_snap=ct.value_is_interval.tolist(),
-                    build_adjoints=lane_adjoints(lane),
+                    adjoint_columns=lane_adjoints(lane),
                     labels=ct.labels,
                     delta=delta,
                     simplify=simplify,

@@ -22,10 +22,18 @@
 Analysis work never runs on the event loop: every request's kernel work
 is shipped to a thread pool, so a cold recording (tens of milliseconds of
 operator-overloaded taping) does not stall concurrently arriving warm
-requests, which are pure vectorized replay.  Each kernel owns one
+requests, which are pure vectorized replay.  Replaying warm batches of
+the small kernels on the loop itself was measured and dropped: it saves
+the pool hop's interpreter-lock hand-offs, about 1 ms of server CPU per
+request, but puts all serving on one core, and on a shared 2-vCPU host
+the throughput then swung with that one core's speed from run to run
+(``docs/BENCHMARKS.md``).  Each kernel owns one
 :class:`~repro.scorpio.TraceCache` — kernel identity is the cache key —
 and the cache's own per-key record lock guarantees two racing cold
 requests record exactly once.
+
+Every analysis failure on ``/analyse`` answers 500 with the detail
+``"<Type>: <message>"``, on either backend and batch setting.
 """
 
 from __future__ import annotations
@@ -75,11 +83,10 @@ class ServiceConfig:
     # executor="process".
     executor: str = "thread"
     # Dynamic micro-batching of POST /analyse: concurrent requests for
-    # one kernel arriving within batch_window_ms of each other are
-    # coalesced into one lane-batched replay sweep of up to max_batch
-    # lanes (responses stay byte-identical to the unbatched path).
+    # one kernel that queue while the previous batch runs are coalesced
+    # into one lane-batched replay sweep of up to max_batch lanes
+    # (responses stay byte-identical to the unbatched path).
     # max_batch=1 disables coalescing entirely.
-    batch_window_ms: float = 2.0
     max_batch: int = 16
     # Persistent tape store directory (None -> $REPRO_TAPE_DIR if set).
     # With a store, a restarted service loads recorded tapes from disk
@@ -136,6 +143,16 @@ def _request_info() -> "dict[str, Any] | None":
     return _REQ_INFO.get()
 
 
+def _error_detail(exc: BaseException) -> str:
+    """How /analyse reports a failed analysis: ``"<Type>: <message>"``.
+
+    Pool workers ship failures home in this form because some exceptions
+    (``AmbiguousComparisonError`` among them) do not survive a pickle
+    round trip, so every backend renders them this way.
+    """
+    return f"{type(exc).__name__}: {exc}"
+
+
 def _assemble_trace(trace_id: str) -> list[dict[str, Any]]:
     """One trace's span forest, re-linked across recording boundaries.
 
@@ -143,8 +160,8 @@ def _assemble_trace(trace_id: str) -> list[dict[str, Any]]:
     batch span, spans adopted from pool workers); each still carries its
     context's ``parent_id``, so any root whose parent is present in the
     same trace is re-attached as a child — the returned forest shows the
-    HTTP handling, the batch gather window and the worker-side replay as
-    one tree whenever the ids connect.
+    HTTP handling, the batch and the worker-side replay as one tree
+    whenever the ids connect.
     """
     dicts = obs_profile.spans_to_dicts(obs_trace.spans_for_trace(trace_id))
     by_id: dict[str, dict[str, Any]] = {}
@@ -261,7 +278,7 @@ def _analyse_batch_in_worker_process(
                     ("ok", report_to_json(report).encode("utf-8"), outcome)
                 )
             except Exception as exc:  # noqa: BLE001 - per-request isolation
-                items.append(("err", f"{type(exc).__name__}: {exc}"))
+                items.append(("err", _error_detail(exc)))
         return items
 
 
@@ -395,10 +412,8 @@ class SignificanceService:
         # unbatched dispatch path is used verbatim).
         self._batchers: dict[str, KernelBatcher] | None = None
         if self.config.max_batch > 1:
-            window = max(0.0, self.config.batch_window_ms) / 1000.0
             self._batchers = {
                 kid: KernelBatcher(
-                    window=window,
                     max_batch=self.config.max_batch,
                     dispatch=self._make_batch_dispatch(entry),
                     name=kid,
@@ -684,7 +699,7 @@ class SignificanceService:
                     body = report_to_json(report).encode("utf-8")
                     items.append(("ok", body, outcome))
                 except Exception as exc:  # noqa: BLE001 - isolated per req
-                    items.append(("err", exc))
+                    items.append(("err", _error_detail(exc)))
             return items
 
     def _mp_batch_analyse_entry(
@@ -723,7 +738,6 @@ class SignificanceService:
                 "workers": self.config.workers,
                 # Micro-batching + warm-start configuration, so deploys
                 # can assert the coalescer and tape store are live.
-                "batch_window_ms": self.config.batch_window_ms,
                 "max_batch": self.config.max_batch,
                 "store_dir": self.config.store_dir,
                 # Observability: span recording state and the flight
@@ -798,37 +812,41 @@ class SignificanceService:
         if info is not None:
             info["kernel"] = entry.kernel_id
         t_dispatch = time.perf_counter()
-        if self._batchers is not None:
-            item, size, index = await self._batchers[entry.kernel_id].submit(
-                intervals
-            )
-            if info is not None:
-                info["stages"]["dispatch"] = time.perf_counter() - t_dispatch
-                info["batch_size"] = size
-                info["batch_index"] = index
-                if item[0] == "ok":
-                    info["outcome"] = item[2]
-            if item[0] != "ok":
-                detail = item[1]
-                if isinstance(detail, BaseException):
-                    raise detail
-                raise HttpError(500, str(detail))
-            _, body, outcome = item
-            batch_header = f"{size}/{index}"
-        elif self._mp is not None:
-            body, outcome = await self._in_worker(
-                lambda: self._mp_analyse_entry(entry, intervals)
-            )
-            batch_header = "1/0"
-        else:
-            report, outcome = await self._in_worker(
-                lambda: self._analyse_entry(entry, intervals)
-            )
-            # The body is exactly the in-process serialisation —
-            # byte-identical to report_to_json of a local analysis of
-            # the same ranges.
-            body = report_to_json(report).encode("utf-8")
-            batch_header = "1/0"
+        # Every failure becomes an ("err", detail) item, so all backends
+        # and batch settings answer it with the same bytes.
+        batch_header = "1/0"
+        try:
+            if self._batchers is not None:
+                item, size, index = await self._batchers[
+                    entry.kernel_id
+                ].submit(intervals)
+                batch_header = f"{size}/{index}"
+                if info is not None:
+                    info["stages"]["dispatch"] = (
+                        time.perf_counter() - t_dispatch
+                    )
+                    info["batch_size"] = size
+                    info["batch_index"] = index
+            elif self._mp is not None:
+                item = (
+                    "ok",
+                    *await self._in_worker(
+                        lambda: self._mp_analyse_entry(entry, intervals)
+                    ),
+                )
+            else:
+                report, outcome = await self._in_worker(
+                    lambda: self._analyse_entry(entry, intervals)
+                )
+                # The body is exactly the in-process serialisation —
+                # byte-identical to report_to_json of a local analysis of
+                # the same ranges.
+                item = ("ok", report_to_json(report).encode("utf-8"), outcome)
+        except Exception as exc:  # noqa: BLE001 - answered as a 500
+            item = ("err", _error_detail(exc))
+        if item[0] != "ok":
+            raise HttpError(500, item[1])
+        _, body, outcome = item
         if info is not None:
             info["outcome"] = outcome
             info["stages"].setdefault(

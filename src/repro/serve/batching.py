@@ -11,13 +11,14 @@ coalescer that finds those L requests.
 
 :class:`KernelBatcher` lives on the event loop (one per kernel).  Each
 arriving request parks a future on the batcher; the first request of a
-quiet period starts the collection loop, which waits one *batch window*
-(``--batch-window-ms``) for companions, slices off up to ``--max-batch``
-requests, and ships them as a single batch to the service's dispatch
-(thread or process executor — the same pools the unbatched path uses, so
-lane fan-out still composes with :mod:`repro.mp`).  While a batch is in
-flight new arrivals keep queuing, so a saturated service coalesces
-naturally — the window only ever delays the *first* request of a batch.
+quiet period starts the collection task.  The task does not wait for
+companions on a timer: after one bare loop turn it takes every request
+queued by then, up to ``--max-batch``, and ships them as one batch to
+the service's dispatch (thread or process executor — the same pools the
+unbatched path uses, so lane fan-out still composes with
+:mod:`repro.mp`).  Requests that arrive while a batch is in flight queue
+up and form the next batch, so a saturated service coalesces by itself
+and a quiet one adds no delay.
 
 Responses are byte-identical to the unbatched path — that is the pinned
 contract of :meth:`TraceCache.analyse_batch_outcome
@@ -27,7 +28,7 @@ see the coalescing.  Batch sizes are observed in the ``serve.batch.size``
 histogram.
 
 Error isolation: the dispatch returns one *tagged item* per request —
-``("ok", body, outcome)`` or ``("err", exception)`` — so one bad request
+``("ok", body, outcome)`` or ``("err", detail)`` — so one bad request
 in a batch fails alone while its companions answer normally, exactly as
 if each had been dispatched by itself.
 """
@@ -62,14 +63,12 @@ class KernelBatcher:
     def __init__(
         self,
         *,
-        window: float,
         max_batch: int,
         dispatch: DispatchFn,
         name: str = "",
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        self.window = max(0.0, float(window))
         self.max_batch = int(max_batch)
         self.name = name
         self._dispatch = dispatch
@@ -98,11 +97,11 @@ class KernelBatcher:
         # Drain until quiet; the task dies when no requests are waiting
         # and the next submission starts a fresh one.
         while self._pending:
-            if self.window > 0.0 and len(self._pending) < self.max_batch:
-                # The batch window: wait for companions.  Only the head
-                # request of a quiet period pays it; requests arriving
-                # while a previous batch is in flight batch for free.
-                await asyncio.sleep(self.window)
+            # One bare loop turn, no timer: a request read in the same
+            # turn as the first one reaches submit() a turn later, and
+            # this lets it join this sweep instead of waiting for the
+            # next one.
+            await asyncio.sleep(0)
             batch = self._pending[: self.max_batch]
             del self._pending[: len(batch)]
             size = len(batch)

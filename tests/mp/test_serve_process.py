@@ -1,5 +1,7 @@
 """The serve process backend: byte-identity and /healthz exposure."""
 
+import json
+
 import pytest
 
 from repro.serve import ServiceConfig, ServiceThread
@@ -126,3 +128,35 @@ class TestServeConfigValidation:
         with ServiceThread() as thread:
             health = thread.client().healthz()
             assert health["executor"] == "thread"
+
+
+class TestErrorParity:
+    """A failed /analyse answers the same bytes on every backend."""
+
+    # The log of a negative range: the analysis itself fails.
+    BAD = {
+        "kernel": "blackscholes",
+        "inputs": [[-1, 1], [90, 110], [0.01, 0.05], [0.1, 0.3], [0.5, 1.5]],
+    }
+
+    def test_failed_analysis_identical_across_backends(self):
+        """Cold (the recording fails) and warm (the replay fails)."""
+        answers = {}
+        for executor in ("thread", "process"):
+            for max_batch in (1, 16):
+                config = ServiceConfig(
+                    port=0, executor=executor, workers=1, max_batch=max_batch
+                )
+                with ServiceThread(config=config) as service:
+                    with service.client() as client:
+                        cold = client.request_raw("POST", "/analyse", self.BAD)
+                        client.analyse_raw("blackscholes")
+                        warm = client.request_raw("POST", "/analyse", self.BAD)
+                answers[executor, max_batch] = tuple(
+                    (status, body) for status, _, body in (cold, warm)
+                )
+        assert len(set(answers.values())) == 1, answers
+        for status, body in answers["thread", 16]:
+            assert status == 500
+            detail = json.loads(body)["error"]["detail"]
+            assert detail.startswith("ValueError: log domain error")

@@ -1,18 +1,26 @@
 """Tests for JSON serialisation of analysis results."""
 
 import json
+import math
 
 import pytest
 
+from repro.ad.compiled import CompiledTape
 from repro.intervals import Interval
+from repro.intervals.rounding import rounded_mode
 from repro.kernels.maclaurin import analyse_maclaurin
+from repro.scorpio import Analysis, TraceCache
 from repro.scorpio.serialize import (
+    _write_compiled,
     graph_from_dict,
     graph_to_dict,
     interval_to_json,
     report_to_dict,
     report_to_json,
 )
+from repro.serve import default_registry
+
+KERNELS = ("dct", "sobel", "blackscholes", "fisheye", "nbody")
 
 
 @pytest.fixture(scope="module")
@@ -77,3 +85,137 @@ class TestReportJson:
         data = report_to_dict(report)
         restored = graph_from_dict(data["graph"])
         assert restored.outputs == list(report.graph.outputs)
+
+
+def _reference(report) -> str:
+    """The oracle every report_to_json output is held to."""
+    return json.dumps(report_to_dict(report), indent=2)
+
+
+def _written(report) -> str:
+    """The columnar writer's text; None would mean it deferred."""
+    text = _write_compiled(report)
+    assert text is not None, "the writer deferred to the reference path"
+    assert report_to_json(report) == text
+    return text
+
+
+def _edge_case_recording():
+    """Infinite and signed-zero bounds, labels that need escaping, and a
+    NaN variance (inf - inf) in the level scan."""
+    an = Analysis()
+    with an:
+        wide = an.input(Interval(-math.inf, math.inf), name='wide "q"')
+        zero = an.input(Interval(-0.0, 0.0), name="zero\\back")
+        unit = an.input(Interval(1.0, 2.0), name="naïve→")
+        an.output(wide + zero * 3.0 + unit * unit, name="y")
+    return an
+
+
+def _flat_recording():
+    """Two equally significant inputs: no level has variance."""
+    an = Analysis()
+    with an:
+        a = an.input(Interval(1.0, 2.0), name="a")
+        b = an.input(Interval(1.0, 2.0), name="b")
+        an.output(a + b, name="y")
+    return an
+
+
+class TestColumnarWriter:
+    """report_to_json writes compiled reports from their columns; the
+    text must be exactly the json.dumps reference."""
+
+    @pytest.mark.parametrize("simplify", [True, False])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_served_kernels(self, kernel, simplify):
+        entry = default_registry()[kernel]
+        report = entry.recorder(entry.defaults()).analyse(
+            simplify=simplify, compiled=True
+        )
+        oracle = entry.recorder(entry.defaults()).analyse(
+            simplify=simplify, compiled=False
+        )
+        assert _written(report) == _reference(oracle)
+
+    def test_replayed_reports(self):
+        entry = default_registry()["sobel"]
+        cache = TraceCache()
+        for _ in range(2):
+            report = cache.analyse(
+                entry.cache_key, entry.recorder, entry.defaults()
+            )
+            assert _written(report) == _reference(report)
+
+    def test_found_and_missing_partition_level(self):
+        entry = default_registry()["sobel"]
+        found = entry.recorder(entry.defaults()).analyse(compiled=True)
+        flat = _flat_recording().analyse(compiled=True)
+        assert found.partition_level is not None
+        assert flat.partition_level is None
+        for report in (found, flat):
+            assert _written(report) == _reference(report)
+
+    def test_multi_output_hulls_and_batch_lanes(self):
+        entry = default_registry()["nbody"]
+        cache = TraceCache()
+        cache.analyse(entry.cache_key, entry.recorder, entry.defaults())
+        trace = cache._traces[entry.cache_key]
+        assert len(trace.output_ids) > 1
+        base = entry.defaults()
+        batch = [
+            [Interval(iv.lo - 0.01 * k, iv.hi + 0.01 * k) for iv in base]
+            for k in range(3)
+        ]
+        with trace.lock:
+            lanes = trace.analyse_batch(batch)
+        for inputs, report in zip(batch, lanes):
+            oracle = entry.recorder(inputs).analyse(compiled=False)
+            assert _written(report) == _reference(oracle)
+
+    def test_rounding_disabled(self):
+        with rounded_mode(False):
+            for kernel in ("sobel", "nbody"):
+                entry = default_registry()[kernel]
+                report = entry.recorder(entry.defaults()).analyse(
+                    compiled=True
+                )
+                oracle = entry.recorder(entry.defaults()).analyse()
+                assert _written(report) == _reference(oracle)
+
+    def test_infinities_signed_zero_and_escaped_labels(self):
+        report = _edge_case_recording().analyse(compiled=True)
+        text = _written(report)
+        assert text == _reference(_edge_case_recording().analyse())
+        for fragment in ("-Infinity", "NaN", "-0.0", '\\"q\\"', "\\u2192"):
+            assert fragment in text
+
+    def test_materialized_graph(self):
+        report = _flat_recording().analyse(compiled=True)
+        assert len(report.graph) == 3  # builds the node objects
+        assert report_to_json(report) == _reference(report)
+
+    def test_nan_adjoint_raises_like_the_reference(self, monkeypatch):
+        adjoint = CompiledTape.adjoint
+
+        def poisoned(self, seeds):
+            lo, hi = adjoint(self, seeds)
+            lo = lo.copy()
+            lo[0] = math.nan
+            return lo, hi
+
+        monkeypatch.setattr(CompiledTape, "adjoint", poisoned)
+        errors = []
+        for encode in (_reference, report_to_json):
+            report = _flat_recording().analyse(compiled=True)
+            with pytest.raises(Exception) as info:
+                encode(report)
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is ValueError and "NaN" in errors[0][1]
+
+    def test_other_indents_use_json_dumps(self):
+        report = _flat_recording().analyse(compiled=True)
+        assert report_to_json(report, indent=None) == json.dumps(
+            report_to_dict(report)
+        )

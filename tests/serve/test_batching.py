@@ -9,12 +9,13 @@ request as a replay.
 """
 
 import asyncio
+import json
 import threading
 
 import pytest
 
 from repro.scorpio import TraceCache
-from repro.scorpio.serialize import report_to_json
+from repro.scorpio.serialize import report_to_dict
 from repro.serve import ServiceConfig, ServiceThread, default_registry
 from repro.serve.batching import KernelBatcher
 from repro.serve.kernels import parse_intervals
@@ -62,8 +63,9 @@ class TestBatchedByteIdentity:
         n = 4
         inputs_list = [_inputs_for(entry, i) for i in range(n)]
 
-        # Reference: in-process analysis through a plain TraceCache —
-        # the same bytes an unbatched server would answer.
+        # Reference: in-process analysis through a plain TraceCache,
+        # encoded by the reference json.dumps path — the same bytes an
+        # unbatched server would answer.
         cache = TraceCache()
         expect = []
         for inputs in inputs_list:
@@ -73,7 +75,9 @@ class TestBatchedByteIdentity:
                 parse_intervals(inputs, entry),
                 simplify=entry.simplify,
             )
-            expect.append(report_to_json(report).encode("utf-8"))
+            expect.append(
+                json.dumps(report_to_dict(report), indent=2).encode("utf-8")
+            )
 
         with ServiceThread() as service:
             # Warm the trace so every parallel request is a replay lane.
@@ -109,14 +113,13 @@ class TestConfigSurface:
     def test_healthz_reports_batching_config(self, tmp_path):
         config = ServiceConfig(
             port=0,
-            batch_window_ms=1.5,
             max_batch=7,
             store_dir=str(tmp_path),
         )
         with ServiceThread(config=config) as service:
             with service.client() as client:
                 health = client.healthz()
-        assert health["batch_window_ms"] == 1.5
+        assert "batch_window_ms" not in health
         assert health["max_batch"] == 7
         assert health["store_dir"] == str(tmp_path)
 
@@ -156,9 +159,121 @@ class TestWarmStart:
         assert stats["records"] == 0 and stats["replays"] == 1
 
 
+def _span_threads(client, trace_id, prefix):
+    """Thread ids of the spans in a trace whose names start with ``prefix``."""
+    tids = set()
+
+    def walk(nodes):
+        for node in nodes:
+            if node["name"].startswith(prefix):
+                tids.add(node["tid"])
+            walk(node["children"])
+
+    walk(client.debug_trace(trace_id)["spans"])
+    return tids
+
+
+class TestPoolDispatch:
+    """Batches replay on a pool thread, never on the event loop."""
+
+    def test_cold_and_warm_batches_run_off_the_loop(self):
+        entry = default_registry()["sobel"]
+        inputs_list = [_inputs_for(entry, i) for i in range(4)]
+        with ServiceThread() as service:
+            with service.client() as client:
+                _, outcome, _, cold = client.analyse_detail(
+                    "sobel", inputs_list[0]
+                )
+            assert outcome == "record"
+            results = _parallel(service, "sobel", inputs_list)
+            loop_tids, work_tids = set(), set()
+            with service.client() as client:
+                for trace in [cold] + [r[3] for r in results]:
+                    loop_tids |= _span_threads(client, trace, "serve.batch")
+                    # A batch's record/replay spans sit in its head's trace.
+                    work_tids |= _span_threads(client, trace, "trace_cache.")
+        # Batch spans open on the loop's thread; the work under them ran
+        # on other threads.
+        assert len(loop_tids) == 1
+        assert work_tids and not work_tids & loop_tids
+
+
 class TestKernelBatcher:
     def _run(self, coro):
         return asyncio.run(coro)
+
+    def test_lone_submit_dispatches_without_waiting(self):
+        """No gathering window: a lone request is dispatched within bare
+        loop turns, with no timer between the submit and the dispatch."""
+        calls = []
+
+        async def main():
+            async def dispatch(batch):
+                calls.append(list(batch))
+                return [("ok", item) for item in batch]
+
+            batcher = KernelBatcher(max_batch=8, dispatch=dispatch)
+            pending = asyncio.ensure_future(batcher.submit("a"))
+            await asyncio.sleep(0)  # submit() queues "a", starts the task
+            await asyncio.sleep(0)  # the task's first turn yields once
+            await asyncio.sleep(0)  # ... and its second turn dispatches
+            seen = [list(batch) for batch in calls]
+            return seen, await pending
+
+        seen, result = self._run(main())
+        assert seen == [["a"]]
+        assert result == (("ok", "a"), 1, 0)
+
+    def test_a_request_one_turn_behind_joins_the_batch(self):
+        """A request parsed in the turn after the first one's submit (its
+        bytes were read together with the first's) shares its sweep."""
+        calls = []
+
+        async def main():
+            async def dispatch(batch):
+                calls.append(list(batch))
+                return [("ok", item) for item in batch]
+
+            batcher = KernelBatcher(max_batch=8, dispatch=dispatch)
+            first = asyncio.ensure_future(batcher.submit("a"))
+            await asyncio.sleep(0)  # "a" is queued, the task starts next
+            second = asyncio.ensure_future(batcher.submit("b"))
+            return await asyncio.gather(first, second)
+
+        results = self._run(main())
+        assert calls == [["a", "b"]]
+        sizes = [(size, index) for _, size, index in results]
+        assert sizes == [(2, 0), (2, 1)]
+
+    def test_arrivals_during_a_dispatch_form_the_next_batch(self):
+        calls = []
+
+        async def main():
+            release = asyncio.Event()
+
+            async def dispatch(batch):
+                calls.append(list(batch))
+                if len(calls) == 1:
+                    await release.wait()
+                return [("ok", item) for item in batch]
+
+            batcher = KernelBatcher(max_batch=8, dispatch=dispatch)
+            first = asyncio.ensure_future(batcher.submit("a"))
+            while not calls:
+                await asyncio.sleep(0)
+            rest = [asyncio.ensure_future(batcher.submit(x)) for x in "bcd"]
+            await asyncio.sleep(0)
+            release.set()
+            return await asyncio.gather(first, *rest)
+
+        results = self._run(main())
+        assert calls == [["a"], ["b", "c", "d"]]
+        assert [(size, index) for _, size, index in results] == [
+            (1, 0),
+            (3, 0),
+            (3, 1),
+            (3, 2),
+        ]
 
     def test_coalesces_up_to_max_batch(self):
         calls = []
@@ -168,9 +283,7 @@ class TestKernelBatcher:
                 calls.append(len(batch))
                 return [("ok", item) for item in batch]
 
-            batcher = KernelBatcher(
-                window=0.01, max_batch=3, dispatch=dispatch
-            )
+            batcher = KernelBatcher(max_batch=3, dispatch=dispatch)
             results = await asyncio.gather(
                 *(batcher.submit(i) for i in range(7))
             )
@@ -191,9 +304,7 @@ class TestKernelBatcher:
                     for item in batch
                 ]
 
-            batcher = KernelBatcher(
-                window=0.005, max_batch=8, dispatch=dispatch
-            )
+            batcher = KernelBatcher(max_batch=8, dispatch=dispatch)
             return await asyncio.gather(
                 batcher.submit("a"),
                 batcher.submit("poison"),
@@ -210,9 +321,7 @@ class TestKernelBatcher:
             async def dispatch(batch):
                 raise RuntimeError("sweep exploded")
 
-            batcher = KernelBatcher(
-                window=0.005, max_batch=8, dispatch=dispatch
-            )
+            batcher = KernelBatcher(max_batch=8, dispatch=dispatch)
             results = await asyncio.gather(
                 batcher.submit(1),
                 batcher.submit(2),
@@ -231,7 +340,7 @@ class TestKernelBatcher:
             async def dispatch(batch):
                 return [("ok", 1)] * (len(batch) + 1)
 
-            batcher = KernelBatcher(window=0.0, max_batch=4, dispatch=dispatch)
+            batcher = KernelBatcher(max_batch=4, dispatch=dispatch)
             return await asyncio.gather(
                 batcher.submit(1), return_exceptions=True
             )
@@ -241,4 +350,4 @@ class TestKernelBatcher:
 
     def test_rejects_bad_max_batch(self):
         with pytest.raises(ValueError):
-            KernelBatcher(window=0.0, max_batch=0, dispatch=None)
+            KernelBatcher(max_batch=0, dispatch=None)

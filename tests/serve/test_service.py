@@ -11,7 +11,7 @@ import pytest
 
 from repro.runtime.tuning import min_ratio_for_quality
 from repro.scorpio.advisor import suggest_approximations
-from repro.scorpio.serialize import report_to_json
+from repro.scorpio.serialize import report_to_dict
 from repro.serve import ServiceError, ServiceThread, default_registry
 from repro.serve.kernels import tune_setup
 
@@ -59,11 +59,13 @@ class TestDiscovery:
 class TestAnalyse:
     @pytest.mark.parametrize("kernel_id", KERNELS)
     def test_byte_identical_to_in_process(self, client, kernel_id):
-        """The acceptance gate: served bytes == in-process report JSON."""
+        """The acceptance gate: served bytes == the reference encoding
+        of an in-process report."""
         entry = default_registry()[kernel_id]
         served, _outcome = client.analyse_raw(kernel_id)
-        expected = report_to_json(
-            entry.analyse_in_process(entry.defaults())
+        expected = json.dumps(
+            report_to_dict(entry.analyse_in_process(entry.defaults())),
+            indent=2,
         ).encode("utf-8")
         assert served == expected
 
