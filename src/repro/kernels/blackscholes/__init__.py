@@ -2,6 +2,7 @@
 
 from .analysis import (
     BlackScholesAnalysis,
+    OptionBlocks,
     analyse_blackscholes,
     analyse_option,
 )
@@ -25,6 +26,7 @@ __all__ = [
     "analyse_option",
     "analyse_blackscholes",
     "BlackScholesAnalysis",
+    "OptionBlocks",
     "blackscholes_significance",
     "price_chunk_approx",
     "Greeks",

@@ -12,11 +12,13 @@ significances averaged.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.intervals import Interval
+from repro.kernels.common import replay_lane_significances
 from repro.scorpio import Analysis, CachedTrace, TraceCache, replay_enabled
 
 from .data import Portfolio, make_portfolio
@@ -24,6 +26,7 @@ from .sequential import black_scholes_blocks
 
 __all__ = [
     "BlackScholesAnalysis",
+    "OptionBlocks",
     "analyse_option",
     "analyse_blackscholes",
 ]
@@ -31,12 +34,42 @@ __all__ = [
 _BLOCKS = ("A", "B", "C", "D")
 
 
+class OptionBlocks(Sequence):
+    """Read-only per-option view of a ``(4, L)`` block-significance matrix.
+
+    Item ``j`` is ``{"A": .., "B": .., "C": .., "D": ..}`` for option
+    ``j``, built when it is accessed, so a lane-replayed analysis of a
+    whole portfolio keeps no per-option objects.  Compares equal to any
+    sequence of equal dicts (such as the replay-off list).
+    """
+
+    __slots__ = ("_blocks",)
+
+    def __init__(self, blocks: np.ndarray):
+        self._blocks = blocks
+
+    def __len__(self) -> int:
+        return self._blocks.shape[1]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[j] for j in range(len(self))[index]]
+        return dict(zip(_BLOCKS, self._blocks[:, index].tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+
 @dataclass
 class BlackScholesAnalysis:
     """Mean per-block significances, max-normalised."""
 
     block_significance: dict[str, float]
-    per_option: list[dict[str, float]]
+    per_option: Sequence[dict[str, float]]
     samples: int
 
     def ranking(self) -> list[str]:
@@ -96,18 +129,20 @@ def analyse_option(
 
 
 def _replay_options(
-    options: list[tuple[float, float, float, float, float]],
+    params: np.ndarray,
     relative_uncertainty: float = 0.02,
     *,
     executor=None,
     workers: int | None = None,
-) -> list[dict[str, float]] | None:
-    """Per-option block significances via one lane-replayed trace.
+) -> np.ndarray | None:
+    """``(4, L)`` block significances (rows A-D) of ``(5, L)`` option
+    parameters (S, K, r, v, T), via one lane-replayed trace.
 
     Records the pricing trace once (on the first option) and prices every
-    option as one lane of a single vectorized forward + adjoint sweep.
-    Each lane is bit-identical to :func:`analyse_option` on that option —
-    the per-option replay of this ~40-node trace loses to the scalar
+    option as one lane of a single vectorized forward + adjoint sweep;
+    Eq. 11 runs on the four block rows only.  Column ``j`` is
+    bit-identical to :func:`analyse_option` on option ``j`` — the
+    per-option replay of this ~40-node trace loses to the scalar
     recording on NumPy call overhead, but the lanes amortize it across
     the whole batch.  With ``executor="process"`` the lane sweep is
     chunked across worker processes via
@@ -118,55 +153,25 @@ def _replay_options(
     from repro.ad.replay import GuardDivergenceError, ReplayError
 
     ivs = [
-        Interval.centered(p, relative_uncertainty * p) for p in options[0]
+        Interval.centered(p, relative_uncertainty * p)
+        for p in params[:, 0].tolist()
     ]
     try:
         trace = CachedTrace(_record_option(ivs), simplify=False)
     except ReplayError:
         return None
-    params = np.asarray(options, dtype=np.float64).T
     radius = relative_uncertainty * params
     try:
-        sig = _lane_sig(
+        return replay_lane_significances(
             trace,
             params - radius,
             params + radius,
+            rows=[trace.label_index(name) for name in _BLOCKS],
             executor=executor,
             workers=workers,
         )
     except GuardDivergenceError:
         return None
-    rows = {name: trace.label_index(name) for name in _BLOCKS}
-    return [
-        {name: float(sig[rows[name], j]) for name in _BLOCKS}
-        for j in range(len(options))
-    ]
-
-
-def _lane_sig(
-    trace: CachedTrace,
-    lanes_lo: np.ndarray,
-    lanes_hi: np.ndarray,
-    *,
-    executor=None,
-    workers: int | None = None,
-) -> np.ndarray:
-    """Eq. 11 matrix for lane bounds, sequential or process-parallel.
-
-    The two paths are bitwise identical (pinned by ``tests/mp``); the
-    process path only pays off for batches past a few hundred lanes.
-    """
-    if executor is not None:
-        from repro.mp import parallel_lane_significances, process_requested
-    if executor is not None and process_requested(executor):
-        return parallel_lane_significances(
-            trace,
-            lanes_lo,
-            lanes_hi,
-            workers=workers,
-            executor=None if isinstance(executor, str) else executor,
-        )
-    return trace.lane_significances(trace.forward_lanes(lanes_lo, lanes_hi))
 
 
 def analyse_blackscholes(
@@ -193,29 +198,29 @@ def analyse_blackscholes(
     chosen = rng.choice(
         portfolio.count, size=min(samples, portfolio.count), replace=False
     )
-    options = [
-        (
-            float(portfolio.spots[i]),
-            float(portfolio.strikes[i]),
-            float(portfolio.rates[i]),
-            float(portfolio.volatilities[i]),
-            float(portfolio.expiries[i]),
-        )
-        for i in chosen
-    ]
-    replayed = (
-        _replay_options(options, executor=executor, workers=workers)
+    params = np.stack(
+        [
+            np.asarray(column, dtype=np.float64)[chosen]
+            for column in (
+                portfolio.spots,
+                portfolio.strikes,
+                portfolio.rates,
+                portfolio.volatilities,
+                portfolio.expiries,
+            )
+        ]
+    )
+    blocks = (
+        _replay_options(params, executor=executor, workers=workers)
         if replay_enabled(replay)
         else None
     )
-    per_option = (
-        replayed
-        if replayed is not None
-        else [analyse_option(*o) for o in options]
-    )
-    mean = {
-        name: float(np.mean([p[name] for p in per_option])) for name in _BLOCKS
-    }
+    if blocks is None:
+        per_option = [analyse_option(*o) for o in params.T.tolist()]
+        blocks = np.array([[p[name] for p in per_option] for name in _BLOCKS])
+    else:
+        per_option = OptionBlocks(blocks)
+    mean = {name: float(np.mean(row)) for name, row in zip(_BLOCKS, blocks)}
     peak = max(mean.values())
     if peak > 0:
         mean = {k: v / peak for k, v in mean.items()}

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.intervals import Interval
+from repro.kernels.common import replay_lane_significances
 from repro.scorpio import Analysis, CachedTrace
 
 from .bicubic import PIXEL_PAIRS, bicubic_interp
@@ -200,7 +201,8 @@ def coordinate_significance_map(
 
     Records the 18-input per-pixel trace once (on the first sampled
     pixel) and replays every ``(xs[k], ys[k])`` output pixel as one lane
-    of a single forward + adjoint sweep over that frozen tape.  With
+    of a single forward + adjoint sweep over that frozen tape; Eq. 11
+    runs on the two coordinate rows only.  With
     ``executor="process"`` the lane sweep is chunked across ``workers``
     processes against a shared-memory copy of the tape
     (:func:`repro.mp.parallel_lane_significances`) — bitwise identical
@@ -225,22 +227,16 @@ def coordinate_significance_map(
     lanes_hi = np.concatenate(
         [flat, [fx + coord_uncertainty], [fy + coord_uncertainty]]
     )
-    if executor is not None:
-        from repro.mp import parallel_lane_significances, process_requested
-    if executor is not None and process_requested(executor):
-        sig = parallel_lane_significances(
-            trace,
-            lanes_lo,
-            lanes_hi,
-            workers=workers,
-            chunk_lanes=chunk_lanes,
-            executor=None if isinstance(executor, str) else executor,
-        )
-    else:
-        sig = trace.lane_significances(trace.forward_lanes(lanes_lo, lanes_hi))
-    return (
-        sig[trace.label_index("x_frac")] + sig[trace.label_index("y_frac")]
+    x_frac, y_frac = replay_lane_significances(
+        trace,
+        lanes_lo,
+        lanes_hi,
+        rows=[trace.label_index("x_frac"), trace.label_index("y_frac")],
+        executor=executor,
+        workers=workers,
+        chunk_lanes=chunk_lanes,
     )
+    return x_frac + y_frac
 
 
 def analyse_inverse_mapping(

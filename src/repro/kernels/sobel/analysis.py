@@ -19,6 +19,7 @@ from typing import Any
 import numpy as np
 
 from repro.intervals import Interval
+from repro.kernels.common import replay_lane_significances
 from repro.scorpio import Analysis, CachedTrace, TraceCache, replay_enabled
 
 from .sequential import combine_parts_pixel, sobel_parts_pixel
@@ -141,46 +142,16 @@ def _sobel_lane_bounds(
     return trace, lanes_lo, lanes_hi
 
 
-def _lane_sig(
-    trace: CachedTrace,
-    lanes_lo: np.ndarray,
-    lanes_hi: np.ndarray,
-    *,
-    executor=None,
-    workers: int | None = None,
-    align: int = 1,
-) -> np.ndarray:
-    """Eq. 11 matrix for lane bounds, sequential or process-parallel.
-
-    ``executor="process"`` fans row-aligned lane chunks out over worker
-    processes against a shared frozen tape (:mod:`repro.mp`); both paths
-    are bitwise identical (pinned by ``tests/mp``).
-    """
-    if executor is not None:
-        from repro.mp import parallel_lane_significances, process_requested
-    if executor is not None and process_requested(executor):
-        return parallel_lane_significances(
-            trace,
-            lanes_lo,
-            lanes_hi,
-            workers=workers,
-            align=align,
-            executor=None if isinstance(executor, str) else executor,
-        )
-    return trace.lane_significances(trace.forward_lanes(lanes_lo, lanes_hi))
+# The labelled rows the block maps read: A, B, C per direction.
+_BLOCK_ROWS = ("a_x", "a_y", "b_x", "b_y", "c_x", "c_y")
 
 
-def _block_maps_from_sig(
-    trace: CachedTrace, sig: np.ndarray, shape: tuple[int, int]
+def _block_maps(
+    sig: np.ndarray, shape: tuple[int, int]
 ) -> dict[str, np.ndarray]:
-    def block(label: str) -> np.ndarray:
-        return sig[trace.label_index(label)].reshape(shape)
-
-    return {
-        "A": block("a_x") + block("a_y"),
-        "B": block("b_x") + block("b_y"),
-        "C": block("c_x") + block("c_y"),
-    }
+    """A/B/C maps from a matrix whose first six rows are ``_BLOCK_ROWS``."""
+    block = sig[: len(_BLOCK_ROWS)].reshape(3, 2, *shape)
+    return {key: block[k, 0] + block[k, 1] for k, key in enumerate("ABC")}
 
 
 def analyse_sobel_map(
@@ -195,22 +166,24 @@ def analyse_sobel_map(
     ``image`` as one lane of a single forward + reverse sweep, so the
     full H×W significance map of each block costs one recording — the
     maps are bit-identical to running :func:`analyse_sobel_pixel` at
-    every pixel.  ``executor="process"`` splits the replay into
-    whole-row lane chunks across ``workers`` processes (:mod:`repro.mp`)
-    — same maps, bit for bit.  Returns ``{"A": map, "B": map, "C": map}``
-    with each map shaped like ``image``.
+    every pixel.  Eq. 11 runs only on the six block rows.
+    ``executor="process"`` splits the replay into whole-row lane chunks
+    across ``workers`` processes (:mod:`repro.mp`) — same maps, bit for
+    bit.  Returns ``{"A": map, "B": map, "C": map}`` with each map shaped
+    like ``image``.
     """
     image = np.asarray(image, dtype=np.float64)
     trace, lanes_lo, lanes_hi = _sobel_lane_bounds(image, pixel_uncertainty)
-    sig = _lane_sig(
+    sig = replay_lane_significances(
         trace,
         lanes_lo,
         lanes_hi,
+        rows=[trace.label_index(label) for label in _BLOCK_ROWS],
         executor=executor,
         workers=workers,
         align=image.shape[1],
     )
-    return _block_maps_from_sig(trace, sig, image.shape)
+    return _block_maps(sig, image.shape)
 
 
 def analyse_sobel_scan_map(
@@ -227,10 +200,11 @@ def analyse_sobel_scan_map(
     (:meth:`CachedTrace.lane_scan_map`): for every pixel, the first
     DynDFG level whose significance variance exceeds ``delta``.  Maps and
     scan are bit-identical to one full :func:`analyse_sobel_pixel` run
-    per pixel.  ``executor="process"`` computes the significance matrix
-    in whole-row chunks across ``workers`` processes with identical bits
-    (the scan itself stays in the parent — it is one cheap pass over the
-    matrix).
+    per pixel.  Eq. 11 runs on the block rows plus the rows the scan
+    reads (:attr:`CachedTrace.scan_rows`).  ``executor="process"``
+    computes those rows in whole-row chunks across ``workers`` processes
+    with identical bits (the scan itself stays in the parent — it is one
+    cheap pass over the matrix).
 
     Returns ``{"A": map, "B": map, "C": map, "scan": LaneScanMap}``.
     """
@@ -238,16 +212,21 @@ def analyse_sobel_scan_map(
     trace, lanes_lo, lanes_hi = _sobel_lane_bounds(
         image, pixel_uncertainty, delta
     )
-    sig = _lane_sig(
+    rows = [trace.label_index(label) for label in _BLOCK_ROWS]
+    rows += [r for r in trace.scan_rows if r not in rows]
+    sig = replay_lane_significances(
         trace,
         lanes_lo,
         lanes_hi,
+        rows=rows,
         executor=executor,
         workers=workers,
         align=image.shape[1],
     )
-    result: dict[str, Any] = _block_maps_from_sig(trace, sig, image.shape)
-    result["scan"] = trace.lane_scan_map(sig, image.shape, delta=delta)
+    result: dict[str, Any] = _block_maps(sig, image.shape)
+    result["scan"] = trace.lane_scan_map(
+        sig, image.shape, delta=delta, rows=rows
+    )
     return result
 
 

@@ -71,15 +71,17 @@ def _sig_chunk(
     start: int,
     stop: int,
     output_id: int,
+    rows: tuple[int, ...] | None = None,
 ) -> int:
     """Replay lanes ``[start:stop)`` and write their Eq. 11 columns.
 
     Runs inside a worker (or in the parent on fallback).  Reads the input
-    bound slices zero-copy, writes the ``(n, stop-start)`` significance
-    block into the shared output buffer, returns the lane count.
-    Guard divergence raises exactly as the sequential replay would.
+    bound slices zero-copy, writes the ``(len(rows), stop-start)``
+    significance block (every node when ``rows`` is None) into the shared
+    output buffer, returns the lane count.  Guard divergence raises
+    exactly as the sequential replay would.
     """
-    from repro.scorpio.compiled import eq11_from_sweep
+    from repro.scorpio.compiled import lane_eq11
 
     _C_CHUNKS.inc()
     _H_CHUNK_LANES.observe(stop - start)
@@ -89,15 +91,7 @@ def _sig_chunk(
         lanes = ct.forward_lanes(
             in_lo.view()[:, start:stop], in_hi.view()[:, start:stop]
         )
-        alo, ahi = lanes.adjoint({output_id: 1.0})
-        sig = eq11_from_sweep(
-            lanes.value_lo,
-            lanes.value_hi,
-            alo,
-            ahi,
-            interval_mode=ct.interval_mode,
-        )
-        out.view()[:, start:stop] = sig
+        out.view()[:, start:stop] = lane_eq11(lanes, output_id, rows=rows)
     return stop - start
 
 
@@ -197,14 +191,17 @@ def parallel_lane_significances(
     align: int = 1,
     executor: ProcessExecutor | None = None,
     min_parallel_lanes: int = 256,
+    rows: Sequence[int] | None = None,
 ) -> np.ndarray:
     """Process-parallel twin of ``CachedTrace.lane_significances``.
 
     ``trace`` is a single-output :class:`~repro.scorpio.trace_cache.CachedTrace`
     (or any object with ``.ct`` and ``.output_ids``); ``inputs_lo``/
-    ``inputs_hi`` the ``(n_inputs, L)`` lane bounds.  Returns the full
-    ``(n_nodes, L)`` Eq. 11 matrix, **bitwise identical** to the
-    sequential ``trace.lane_significances(trace.forward_lanes(...))``.
+    ``inputs_hi`` the ``(n_inputs, L)`` lane bounds.  Returns the
+    ``(n_nodes, L)`` Eq. 11 matrix — or, with ``rows``, only those node
+    rows as ``(len(rows), L)`` in the order given (workers then compute
+    and write only those rows) — **bitwise identical** to the sequential
+    ``trace.lane_significances(trace.forward_lanes(...), rows=rows)``.
 
     The tape is frozen into shared memory once; lane chunks run as
     value-returning tasks on a :class:`ProcessExecutor` (created ad hoc
@@ -237,24 +234,19 @@ def parallel_lane_significances(
     n_workers = workers if workers is not None else (
         executor.max_workers if executor is not None else default_workers()
     )
+    if rows is not None:
+        rows = tuple(int(r) for r in rows)
     if n_workers <= 1 or L < min_parallel_lanes:
-        lanes = ct.forward_lanes(inputs_lo, inputs_hi)
-        alo, ahi = lanes.adjoint({output_ids[0]: 1.0})
-        from repro.scorpio.compiled import eq11_from_sweep
+        from repro.scorpio.compiled import lane_eq11
 
-        return eq11_from_sweep(
-            lanes.value_lo,
-            lanes.value_hi,
-            alo,
-            ahi,
-            interval_mode=ct.interval_mode,
-        )
+        lanes = ct.forward_lanes(inputs_lo, inputs_hi)
+        return lane_eq11(lanes, output_ids[0], rows=rows)
 
     chunks = lane_chunks(L, n_workers, chunk_lanes=chunk_lanes, align=align)
     shared = SharedTape.freeze(ct)
     lo_h = SharedArray.create(inputs_lo)
     hi_h = SharedArray.create(inputs_hi)
-    out_h = SharedArray.empty((ct.n, L))
+    out_h = SharedArray.empty((ct.n if rows is None else len(rows), L))
     own_executor = executor is None
     ex = executor or ProcessExecutor(max_workers=n_workers)
     try:
@@ -264,7 +256,7 @@ def parallel_lane_significances(
                 Task(
                     fn=_sig_chunk,
                     args=(shared, lo_h, hi_h, out_h, start, stop,
-                          output_ids[0]),
+                          output_ids[0], rows),
                     label="mp.sig_chunk",
                     task_id=idx,
                 )

@@ -55,6 +55,8 @@ __all__ = [
     "TraceStructure",
     "eq11_from_sweep",
     "eq11_vector",
+    "lane_eq11",
+    "scan_rows",
     "simplify_structure",
     "levels_from_parents",
     "levels_from_csr",
@@ -80,6 +82,7 @@ def eq11_from_sweep(
     adj_hi: np.ndarray,
     *,
     interval_mode: bool = True,
+    rows: Sequence[int] | np.ndarray | None = None,
 ) -> np.ndarray:
     """``S_y(uj) = w([uj]·∇[uj][y])`` for every node, in one expression.
 
@@ -90,7 +93,16 @@ def eq11_from_sweep(
     global flag.  Arrays may carry any trailing lane axes.  For float
     tapes (``interval_mode=False``) this is the scalar fallback
     ``|uj · ∂y/∂uj|``.
+
+    ``rows`` restricts the work to those node rows (any order, repeats
+    allowed): the result is ``(len(rows), ...)``, row ``k`` holding node
+    ``rows[k]``.  Every step is elementwise, so each row keeps the bits
+    it has in the full result.
     """
+    if rows is not None:
+        rows = np.asarray(rows, dtype=np.intp)
+        value_lo, value_hi = value_lo[rows], value_hi[rows]
+        adj_lo, adj_hi = adj_lo[rows], adj_hi[rows]
     if not interval_mode:
         return np.abs(value_lo * adj_lo)
     p1 = value_lo * adj_lo
@@ -109,6 +121,34 @@ def eq11_from_sweep(
         lo = np.nextafter(lo, _NEG_INF)
         hi = np.nextafter(hi, _POS_INF)
     return hi - lo
+
+
+def lane_eq11(
+    lanes: Any,
+    output_id: int,
+    *,
+    rows: Sequence[int] | np.ndarray | None = None,
+) -> np.ndarray:
+    """Eq. 11 over a lane-batched replay seeded at one output.
+
+    ``lanes`` is the :class:`repro.ad.compiled.ReplayLanes` of a
+    ``forward_lanes`` call.  The adjoint sweep covers every node (each
+    adjoint depends on its consumers'); Eq. 11 then runs on ``rows``
+    only (``None``: all nodes) — see :func:`eq11_from_sweep`.  Column
+    ``l`` is bit-identical to a scalar analysis of lane ``l``.  This is
+    the one lane core: :meth:`repro.scorpio.CachedTrace.lane_significances`
+    and the process fan-out's chunks (:mod:`repro.mp.drivers`) both run
+    it.
+    """
+    alo, ahi = lanes.adjoint({output_id: 1.0})
+    return eq11_from_sweep(
+        lanes.value_lo,
+        lanes.value_hi,
+        alo,
+        ahi,
+        interval_mode=lanes.ct.interval_mode,
+        rows=rows,
+    )
 
 
 def eq11_vector(
@@ -368,11 +408,10 @@ class LaneScanMap:
             when the scan reached the inputs without finding one (the
             scalar scan's ``found_level is None``).
         variances: per-level variance arrays over lanes.  Levels are
-            scanned until every lane has found a partition level, so a
-            lane that found level 2 still gets level-3+ entries here if
-            some other lane scanned deeper (the scalar per-lane scan
-            stops earlier; entries up to a lane's found level are
-            bit-identical to it).
+            scanned until every lane has found a partition level; a lane
+            leaves the scan at its found level, so its entries past that
+            level are NaN (the scalar scan never computes them).  Every
+            other entry is bit-identical to the scalar scan.
         delta: the threshold used.
     """
 
@@ -382,41 +421,73 @@ class LaneScanMap:
     delta: float = 1e-6
 
 
+def scan_rows(members_by_level: Mapping[int, Sequence[int]]) -> list[int]:
+    """Node ids the S5 scan reads, ascending: the members of every level
+    from 1 on with at least two nodes (a smaller level's variance is 0
+    without reading anything)."""
+    return sorted(
+        i
+        for level, ids in members_by_level.items()
+        if level >= 1 and len(ids) >= 2
+        for i in ids
+    )
+
+
 def _scan_columns(
     sig: np.ndarray,
     lane_shape: tuple[int, ...],
     members_by_level: Mapping[int, Sequence[int]],
     *,
     delta: float,
+    rows: Sequence[int] | None = None,
 ) -> LaneScanMap:
-    """:func:`scan_grouped` for every column of an ``(n_nodes, n_lanes)``
+    """:func:`scan_grouped` for every column of an ``(n_rows, n_lanes)``
     significance matrix at once — one pass over the levels, each computing
-    a whole array of variances, bit-identical per lane to the scalar scan.
+    the variances of the lanes still scanning, bit-identical per lane to
+    the scalar scan.
+
+    Row ``k`` of ``sig`` holds node ``rows[k]`` (node ``k`` when ``rows``
+    is None); it must hold every node of :func:`scan_rows`.
     """
     height = (max(members_by_level) + 1) if members_by_level else 0
     lanes = sig.shape[1]
+    if rows is None:
+        rows = range(sig.shape[0])
+    position = {int(node): k for k, node in enumerate(rows)}
     found = np.full(lanes, -1, dtype=np.int64)
+    active = np.arange(lanes)
     variances: dict[int, np.ndarray] = {}
     for level in range(1, height):
+        if not active.size:
+            break
         ids = members_by_level.get(level, [])
         if len(ids) < 2:
-            var = np.zeros(lanes)
+            var = np.zeros(active.size)
         else:
+            try:
+                at = [position[i] for i in ids]
+            except KeyError:
+                raise ValueError(
+                    f"the significance matrix lacks rows the scan reads "
+                    f"at level {level} (nodes {list(ids)})"
+                ) from None
+            block = sig[np.ix_(at, active)]
             # Same association order as level_variance: sequential sum
             # over members in ascending id order, population variance.
-            total = sig[ids[0]].copy()
-            for i in ids[1:]:
-                total += sig[i]
+            total = block[0].copy()
+            for row in block[1:]:
+                total += row
             mean = total / len(ids)
-            sq = np.zeros(lanes)
-            for i in ids:
-                sq += _square(sig[i] - mean)
+            sq = np.zeros(active.size)
+            for row in block:
+                sq += _square(row - mean)
             var = sq / len(ids)
-        variances[level] = var.reshape(lane_shape)
-        newly = (found < 0) & (var > delta)
-        found[newly] = level
-        if (found >= 0).all():
-            break
+        full = np.full(lanes, np.nan)
+        full[active] = var
+        variances[level] = full.reshape(lane_shape)
+        hit = var > delta
+        found[active[hit]] = level
+        active = active[~hit]
     return LaneScanMap(
         lane_shape=lane_shape,
         found_level=found.reshape(lane_shape),

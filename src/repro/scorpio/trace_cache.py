@@ -75,7 +75,8 @@ from .compiled import (
     _scan_columns,
     analyse_compiled_tape,
     analyse_replay_lanes,
-    eq11_from_sweep,
+    lane_eq11,
+    scan_rows,
 )
 from .report import SignificanceReport
 
@@ -325,25 +326,26 @@ class CachedTrace:
         to recording on lane ``l``'s inputs)."""
         return self.ct.forward_lanes(inputs_lo, inputs_hi)
 
-    def lane_significances(self, lanes) -> "Any":
-        """``(n_nodes, L)`` Eq. 11 significance matrix over replayed lanes.
+    def lane_significances(self, lanes, rows=None) -> "Any":
+        """Eq. 11 significance matrix over replayed lanes.
 
-        Column ``l`` is bit-identical to the per-node significances a
-        scalar analysis of lane ``l``'s inputs would compute.  Requires a
-        single-output trace (the sweep seeds that output with 1).
+        ``(n_nodes, L)`` by default; with ``rows`` (node ids, any order,
+        repeats allowed) Eq. 11 runs on those rows only and the result is
+        ``(len(rows), L)`` in the order given.  Column ``l`` is
+        bit-identical to the per-node significances a scalar analysis of
+        lane ``l``'s inputs would compute.  Requires a single-output
+        trace (the sweep seeds that output with 1).
         """
         if len(self.output_ids) != 1:
             raise ReplayError(
                 "lane significance replay supports single-output traces"
             )
-        alo, ahi = lanes.adjoint({self.output_ids[0]: 1.0})
-        return eq11_from_sweep(
-            lanes.value_lo,
-            lanes.value_hi,
-            alo,
-            ahi,
-            interval_mode=self.ct.interval_mode,
-        )
+        return lane_eq11(lanes, self.output_ids[0], rows=rows)
+
+    @property
+    def scan_rows(self) -> list[int]:
+        """Node ids :meth:`lane_scan_map` reads, ascending."""
+        return scan_rows(self.structure.scan_members())
 
     def lane_scan_map(
         self,
@@ -351,15 +353,23 @@ class CachedTrace:
         lane_shape: tuple[int, ...],
         *,
         delta: float | None = None,
+        rows=None,
     ) -> LaneScanMap:
         """Lane-parallel Algorithm 1 S5 over a replayed significance
         matrix (:meth:`lane_significances`), over this trace's structure.
-        Entry ``l`` is bit-identical to the scalar scan of lane ``l``."""
+
+        When ``sig`` holds only some node rows, ``rows`` lists them (row
+        ``k`` is node ``rows[k]``); it must cover :attr:`scan_rows`.
+        Each lane leaves the scan at its found level: its later
+        variances are NaN, every other entry is bit-identical to the
+        scalar scan of that lane.
+        """
         return _scan_columns(
             sig,
             lane_shape,
             self.structure.scan_members(),
             delta=self.delta if delta is None else delta,
+            rows=rows,
         )
 
     def analyse_batch(

@@ -24,6 +24,7 @@ vectorized replay, and the reports are byte-identical either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -67,6 +68,15 @@ class KernelEntry:
     def cache_key(self) -> tuple[str]:
         return (self.kernel_id,)
 
+    @cached_property
+    def _built_defaults(self) -> tuple[Interval, ...]:
+        return tuple(self.defaults())
+
+    def default_inputs(self) -> list[Interval]:
+        """The default inputs, built once per entry: each call returns a
+        fresh list of the same (immutable) intervals."""
+        return list(self._built_defaults)
+
     def analyse_in_process(
         self, inputs: Sequence[Interval]
     ) -> SignificanceReport:
@@ -88,7 +98,7 @@ def parse_intervals(
     client-facing message on anything else.
     """
     if raw is None:
-        return entry.defaults()
+        return entry.default_inputs()
     if not isinstance(raw, (list, tuple)):
         raise ValueError("'inputs' must be a list of ranges")
     if len(raw) != entry.n_inputs:

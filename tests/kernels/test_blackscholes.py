@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.kernels.blackscholes import (
+    OptionBlocks,
     analyse_blackscholes,
     analyse_option,
     black_scholes_blocks,
@@ -129,6 +130,71 @@ class TestAnalysis:
     def test_normalised_peak(self):
         result = analyse_blackscholes(samples=4)
         assert max(result.block_significance.values()) == pytest.approx(1.0)
+
+
+class TestPerOptionView:
+    """``per_option`` of a replayed analysis is a view over the block
+    matrix that reads like the replay-off list of dicts."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        replayed = analyse_blackscholes(samples=24, seed=4, replay=True)
+        scalar = analyse_blackscholes(samples=24, seed=4, replay=False)
+        return replayed, scalar
+
+    def test_view_not_list(self, pair):
+        replayed, scalar = pair
+        assert isinstance(replayed.per_option, OptionBlocks)
+        assert isinstance(scalar.per_option, list)
+
+    def test_len_and_samples(self, pair):
+        replayed, scalar = pair
+        assert len(replayed.per_option) == len(scalar.per_option) == 24
+        assert replayed.samples == scalar.samples == 24
+
+    def test_indexing_matches_list(self, pair):
+        replayed, scalar = pair
+        for j in (0, 7, 23, -1, -24):
+            entry = replayed.per_option[j]
+            assert entry == scalar.per_option[j]
+            assert list(entry) == ["A", "B", "C", "D"]
+            assert all(type(v) is float for v in entry.values())
+        assert replayed.per_option[2:5] == scalar.per_option[2:5]
+
+    def test_out_of_range(self, pair):
+        replayed, _ = pair
+        with pytest.raises(IndexError):
+            replayed.per_option[24]
+        with pytest.raises(IndexError):
+            replayed.per_option[-25]
+
+    def test_iteration_matches_list(self, pair):
+        replayed, scalar = pair
+        assert list(replayed.per_option) == scalar.per_option
+
+    def test_equality_both_ways(self, pair):
+        replayed, scalar = pair
+        assert replayed.per_option == scalar.per_option
+        assert scalar.per_option == replayed.per_option
+        assert replayed == scalar
+        assert replayed.per_option != scalar.per_option[:-1]
+        changed = [dict(d) for d in scalar.per_option]
+        changed[5]["C"] += 1.0
+        assert replayed.per_option != changed
+
+    def test_entries_are_fresh(self, pair):
+        replayed, _ = pair
+        first = replayed.per_option[3]
+        first["A"] = -1.0
+        assert replayed.per_option[3]["A"] != -1.0
+
+    def test_means_bitwise_equal_to_replay_off(self):
+        for samples in (24, 300):
+            replayed = analyse_blackscholes(samples=samples, seed=6)
+            scalar = analyse_blackscholes(
+                samples=samples, seed=6, replay=False
+            )
+            assert replayed.block_significance == scalar.block_significance
 
 
 class TestSignificanceVersion:

@@ -19,6 +19,7 @@ from repro.kernels.sobel import (
 )
 from repro.kernels.sobel.analysis import (
     _record_sobel_pixel,
+    _sobel_lane_bounds,
     analyse_sobel_map,
     analyse_sobel_scan_map,
 )
@@ -148,7 +149,76 @@ class TestWholeImageMaps:
                 unfound += expected == -1
                 for level, var in ref.variances.items():
                     assert float(scan.variances[level][y, x]) == var
+                # The lane left the scan at its found level: every later
+                # level is NaN, exactly the entries the scalar scan lacks.
+                for level, var in scan.variances.items():
+                    if level not in ref.variances:
+                        assert expected != -1 and level > expected
+                        assert np.isnan(var[y, x])
         assert unfound > 0
+        # A scan over only the rows it reads, in any order, equals the
+        # scan over the full matrix.
+        trace, lo, hi = _sobel_lane_bounds(image, 0.5)
+        lanes = trace.forward_lanes(lo, hi)
+        whole = trace.lane_scan_map(
+            trace.lane_significances(lanes), image.shape
+        )
+        rows = trace.scan_rows[::-1] + [trace.output_ids[0]]
+        subset = trace.lane_scan_map(
+            trace.lane_significances(lanes, rows=rows), image.shape, rows=rows
+        )
+        assert subset.found_level.tobytes() == whole.found_level.tobytes()
+        assert subset.variances.keys() == whole.variances.keys()
+        for level, var in whole.variances.items():
+            assert subset.variances[level].tobytes() == var.tobytes()
+        assert whole.found_level.tobytes() == scan.found_level.tobytes()
+
+    def test_scan_rows_are_the_levels_the_scan_reads(self):
+        trace, lo, hi = _sobel_lane_bounds(natural_image(6, 7, seed=2), 0.5)
+        members = trace.structure.scan_members()
+        expected = sorted(
+            i
+            for level, ids in members.items()
+            if level >= 1 and len(ids) >= 2
+            for i in ids
+        )
+        assert trace.scan_rows == expected
+        assert trace.output_ids[0] not in expected
+        # A matrix missing a row the scan reads is rejected.  Every lane
+        # still scans at the first level with two members.
+        first = min(
+            level
+            for level, ids in members.items()
+            if level >= 1 and len(ids) >= 2
+        )
+        short = [r for r in trace.scan_rows if r != members[first][0]]
+        sig = trace.lane_significances(trace.forward_lanes(lo, hi), rows=short)
+        with pytest.raises(ValueError, match="lacks rows"):
+            trace.lane_scan_map(sig, (6, 7), rows=short)
+
+    def test_maps_request_only_their_rows(self, monkeypatch):
+        from repro.scorpio import CachedTrace
+
+        requested = []
+        original = CachedTrace.lane_significances
+
+        def spy(self, lanes, rows=None):
+            requested.append(None if rows is None else list(rows))
+            return original(self, lanes, rows=rows)
+
+        monkeypatch.setattr(CachedTrace, "lane_significances", spy)
+        image = natural_image(9, 8, seed=4)
+        analyse_sobel_map(image)
+        analyse_sobel_scan_map(image)
+        trace, _, _ = _sobel_lane_bounds(image, 0.5)
+        labelled = [
+            trace.label_index(k)
+            for k in ("a_x", "a_y", "b_x", "b_y", "c_x", "c_y")
+        ]
+        assert requested[0] == labelled
+        assert requested[1][:6] == labelled
+        assert set(requested[1]) == set(labelled) | set(trace.scan_rows)
+        assert len(requested[1]) == len(set(requested[1])) < trace.ct.n
 
 
 class TestSignificanceVersion:

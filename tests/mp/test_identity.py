@@ -155,13 +155,16 @@ class TestWiredEntryPoints:
     def test_blackscholes_replay(self):
         from repro.kernels.blackscholes.analysis import _replay_options
 
-        opts = [
-            (100.0 + 0.4 * i, 105.0, 0.03, 0.2 + 0.0005 * i, 1.0)
-            for i in range(280)
-        ]
-        assert _replay_options(opts) == _replay_options(
-            opts, executor="process", workers=2
-        )
+        params = np.array(
+            [
+                (100.0 + 0.4 * i, 105.0, 0.03, 0.2 + 0.0005 * i, 1.0)
+                for i in range(280)
+            ]
+        ).T
+        seq = _replay_options(params)
+        par = _replay_options(params, executor="process", workers=2)
+        assert seq.shape == (4, 280)
+        assert par.tobytes() == seq.tobytes()
 
     def test_sobel_map(self):
         from repro.images import natural_image
@@ -207,6 +210,76 @@ class TestWiredEntryPoints:
 
     def test_segments_cleaned_after_entry_points(self):
         assert live_segments() == []
+
+
+# ----------------------------------------------------------------------
+# Row selection: Eq. 11 on the rows a caller reads
+# ----------------------------------------------------------------------
+ROW_KERNELS = ["sobel", "blackscholes", "fisheye", "dct"]
+_ROW_TRACES = {}
+
+
+def _row_case(data, kernel):
+    """A kernel's trace, hypothesis-drawn lane bounds and a drawn row
+    list (any order, repeats allowed)."""
+    if kernel not in _ROW_TRACES:
+        recorder, ivs = _kernel_case(kernel)
+        _ROW_TRACES[kernel] = (
+            CachedTrace(recorder(ivs), simplify=False),
+            ivs,
+        )
+    trace, ivs = _ROW_TRACES[kernel]
+    lanes = data.draw(st.integers(min_value=1, max_value=40), label="lanes")
+    seed = data.draw(st.integers(min_value=0, max_value=2**32 - 1))
+    lo, hi = _lane_bounds(ivs, L=lanes, seed=seed)
+    rows = data.draw(
+        st.lists(
+            st.integers(min_value=0, max_value=trace.ct.n - 1),
+            max_size=12,
+        ),
+        label="rows",
+    )
+    return trace, lo, hi, rows
+
+
+@pytest.fixture(scope="module")
+def pool():
+    from repro.mp import ProcessExecutor
+
+    with ProcessExecutor(max_workers=2) as ex:
+        yield ex
+
+
+@pytest.mark.parametrize("kernel", ROW_KERNELS)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_requested_rows_are_full_matrix_rows(kernel, data):
+    trace, lo, hi, rows = _row_case(data, kernel)
+    lanes = trace.forward_lanes(lo, hi)
+    full = trace.lane_significances(lanes)
+    got = trace.lane_significances(lanes, rows=rows)
+    assert got.shape == (len(rows), lo.shape[1])
+    assert got.tobytes() == full[rows].tobytes()
+
+
+@pytest.mark.parametrize("kernel", ROW_KERNELS)
+@given(data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_process_rows_are_full_matrix_rows(kernel, data, pool):
+    trace, lo, hi, rows = _row_case(data, kernel)
+    full = trace.lane_significances(trace.forward_lanes(lo, hi))
+    parallel = parallel_lane_significances(
+        trace,
+        lo,
+        hi,
+        rows=rows,
+        workers=2,
+        min_parallel_lanes=1,
+        executor=pool,
+    )
+    assert parallel.shape == (len(rows), lo.shape[1])
+    assert parallel.tobytes() == full[rows].tobytes()
+    assert live_segments() == []
 
 
 # ----------------------------------------------------------------------

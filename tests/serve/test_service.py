@@ -4,16 +4,18 @@ One server thread per module; every test talks to it through the stdlib
 client exactly like an external tenant would.
 """
 
+import dataclasses
 import json
 import re
 
 import pytest
 
+from repro.intervals import Interval
 from repro.runtime.tuning import min_ratio_for_quality
 from repro.scorpio.advisor import suggest_approximations
 from repro.scorpio.serialize import report_to_dict
 from repro.serve import ServiceError, ServiceThread, default_registry
-from repro.serve.kernels import tune_setup
+from repro.serve.kernels import parse_intervals, tune_setup
 
 KERNELS = ("dct", "sobel", "blackscholes", "fisheye", "nbody")
 
@@ -263,3 +265,40 @@ class TestMetrics:
         before = hits()
         client.analyse("blackscholes", inputs)
         assert hits() == before + 1
+
+
+class TestDefaultInputs:
+    """A request without ``inputs`` reuses the entry's default intervals,
+    built once per entry."""
+
+    def test_two_default_requests_build_the_defaults_once(self):
+        base = default_registry()["sobel"]
+        calls = []
+
+        def build():
+            calls.append(1)
+            return base.defaults()
+
+        entry = dataclasses.replace(base, defaults=build)
+        expected = json.dumps(
+            report_to_dict(base.analyse_in_process(base.defaults())),
+            indent=2,
+        ).encode("utf-8")
+        with ServiceThread(registry={"sobel": entry}) as thread:
+            with thread.client() as c:
+                first, _ = c.analyse_raw("sobel")
+                second, outcome = c.analyse_raw("sobel")
+        assert len(calls) == 1
+        assert first == second == expected
+        assert outcome == "replay"
+
+    def test_mutating_a_returned_list_leaves_the_next_unchanged(self):
+        entry = default_registry()["fisheye"]
+        first = parse_intervals(None, entry)
+        reference = entry.defaults()
+        assert first == reference
+        first[0] = Interval(-7.0, 7.0)
+        first.append(Interval(0.0, 1.0))
+        second = parse_intervals(None, entry)
+        assert second is not first
+        assert second == reference
