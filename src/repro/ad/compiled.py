@@ -15,8 +15,10 @@ engineered to be **bit-identical** to it, including the subtle parts:
   min/max tie-breaking as :meth:`Interval.__mul__`;
 * outward rounding is one ``nextafter`` per bound per operation, applied
   at exactly the points the object sweep applies it (product and
-  accumulation), and honours the global
-  :func:`repro.intervals.rounding.rounding_enabled` flag at sweep time;
+  accumulation) through the array twins of ``math.nextafter``
+  (:func:`repro.intervals.rounding.down_array` / ``up_array``), and
+  honours the global :func:`repro.intervals.rounding.rounding_enabled`
+  flag at sweep time;
 * consumers with an exactly-zero adjoint are skipped (the object sweep's
   ``_is_zero`` shortcut is bit-relevant under outward rounding);
 * per-parent accumulation order matches the object sweep: contributions
@@ -43,10 +45,11 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.intervals import Interval, as_interval
-from repro.intervals.rounding import rounding_enabled
+from repro.intervals.rounding import down_array, rounding_enabled, up_array
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 
+from .replay import hull
 from .tape import Tape
 
 __all__ = ["CompiledTape", "ReplayLanes"]
@@ -298,6 +301,7 @@ class CompiledTape:
         self._rank_cache: dict[int, list[np.ndarray]] = {}
         self._split_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._scratch: dict[str, np.ndarray] = {}
+        self._lane_sched: list | None = None
 
         if e == 0:
             self._contrib_schedule = [
@@ -545,14 +549,12 @@ class CompiledTape:
                         if not sub.size:
                             continue
                         dst = edge_dst[sub]
-                        new_lo = np.nextafter(
-                            alo[dst] + contrib_lo[sub], _NEG_INF
-                        )
-                        alo[dst] = new_lo
-                        new_hi = np.nextafter(
-                            ahi[dst] + contrib_hi[sub], _POS_INF
-                        )
-                        ahi[dst] = new_hi
+                        new_lo = alo[dst]
+                        new_lo += contrib_lo[sub]
+                        alo[dst] = down_array(new_lo, out=new_lo)
+                        new_hi = ahi[dst]
+                        new_hi += contrib_hi[sub]
+                        ahi[dst] = up_array(new_hi, out=new_hi)
                 else:
                     first, rest = self._first_rest(level)
                     sub = first[active[first]]
@@ -613,16 +615,13 @@ class CompiledTape:
                 p1 = np.multiply(plo, salo, out=w1[:k2])
                 p2 = np.multiply(plo, sahi, out=w2[:k2])
                 if clean_nan:
-                    p1[np.isnan(p1)] = 0.0
-                    p2[np.isnan(p2)] = 0.0
-                    clo = np.where(p2 < p1, p2, p1)
-                    chi = np.where(p2 > p1, p2, p1)
+                    clo, chi = hull(p1, p2)
                 else:
                     clo = np.minimum(p1, p2, out=w3[:k2])
                     chi = np.maximum(p1, p2, out=p2)
                 if rnd:
-                    clo = np.nextafter(clo, _NEG_INF)
-                    chi = np.nextafter(chi, _POS_INF)
+                    down_array(clo, out=clo)
+                    up_array(chi, out=chi)
                 contrib_lo[sub] = clo
                 contrib_hi[sub] = chi
                 continue
@@ -631,17 +630,7 @@ class CompiledTape:
             p3 = np.multiply(phi, salo, out=self._buf("sweep_w4" + bkey, (e, m))[:k2])
             p4 = np.multiply(phi, sahi, out=self._buf("sweep_w5" + bkey, (e, m))[:k2])
             if clean_nan:
-                for p in (p1, p2, p3, p4):
-                    p[np.isnan(p)] = 0.0
-                # Fold-left min/max with keep-first tie-breaking — the
-                # exact semantics of Python's min()/max() over the four
-                # products in Interval.__mul__.
-                clo = np.where(p2 < p1, p2, p1)
-                clo = np.where(p3 < clo, p3, clo)
-                clo = np.where(p4 < clo, p4, clo)
-                chi = np.where(p2 > p1, p2, p1)
-                chi = np.where(p3 > chi, p3, chi)
-                chi = np.where(p4 > chi, p4, chi)
+                clo, chi = hull(p1, p2, p3, p4)
             else:
                 # Tape.adjoint_vector's exact association order (in-place
                 # variants reuse the product buffers; results unchanged).
@@ -654,8 +643,8 @@ class CompiledTape:
                 np.maximum(p3, p4, out=p4)
                 chi = np.maximum(chi, p4, out=chi)
             if rnd:
-                clo = np.nextafter(clo, _NEG_INF)
-                chi = np.nextafter(chi, _POS_INF)
+                down_array(clo, out=clo)
+                up_array(chi, out=chi)
             contrib_lo[sub] = clo
             contrib_hi[sub] = chi
 
@@ -669,7 +658,8 @@ class CompiledTape:
         rnd: bool,
         clean_nan: bool,
     ) -> None:
-        """Reverse sweep over ``(n, L, m)`` bounds with per-lane partials.
+        """Reverse sweep over ``(n, L)`` or ``(n, L, m)`` bounds with
+        per-lane partials, in place.
 
         The lane-batched twin of :meth:`_sweep` used by replayed lanes:
         partials come from the replay's ``(e, L)`` arrays instead of the
@@ -677,103 +667,154 @@ class CompiledTape:
         shortcut is honoured **per lane** — a lane whose source adjoint is
         exactly zero must contribute nothing to its parents, even though
         other lanes of the same edge do (bit-relevant under rounding, and
-        it also stops NaN pollution when ``clean_nan`` is off).
+        it also stops NaN pollution when ``clean_nan`` is off).  Edges
+        whose partial is one point constant in every lane (see
+        :meth:`_lane_schedule`) take :meth:`_sweep`'s two-product rule.
+        The contribution arrays live for one call only.
         """
         e = self.n_edges
         if e == 0:
             return
         edge_src = self._edge_src
         edge_dst = self.parent_idx
-        n, L, m = alo.shape
-        contrib_lo = np.empty((e, L, m), dtype=np.float64)
-        contrib_hi = np.empty((e, L, m), dtype=np.float64)
-        lane_act = np.zeros((e, L), dtype=bool)
-        edge_any = np.zeros(e, dtype=bool)
+        L = alo.shape[1]
+        vector = alo.ndim == 3
+        contrib_lo = np.empty((e,) + alo.shape[1:], dtype=np.float64)
+        contrib_hi = np.empty_like(contrib_lo)
+        lane_act = np.empty((e, L), dtype=bool)
 
-        for level in range(self.n_levels):
-            flat = self._apply_flat[level]
-            if flat.size:
-                if rnd:
-                    # Rank steps keep destinations distinct so a masked
-                    # where() can interleave nextafter per accumulation
-                    # while leaving inactive lanes untouched.
-                    for sel in self._rank_steps(level):
-                        sub = sel[edge_any[sel]]
-                        if not sub.size:
-                            continue
-                        dst = edge_dst[sub]
-                        mask = lane_act[sub][:, :, None]
-                        cur = alo[dst]
-                        alo[dst] = np.where(
-                            mask,
-                            np.nextafter(cur + contrib_lo[sub], _NEG_INF),
-                            cur,
-                        )
-                        cur = ahi[dst]
-                        ahi[dst] = np.where(
-                            mask,
-                            np.nextafter(cur + contrib_hi[sub], _POS_INF),
-                            cur,
-                        )
-                else:
-                    # Inactive-lane contributions were zeroed at emit, and
-                    # adding 0.0 never flips a bound's bits (the running
-                    # adjoint is never -0.0), so one add.at per level keeps
-                    # the object sweep's per-destination order.
-                    sub = flat[edge_any[flat]]
-                    if sub.size:
-                        dst = edge_dst[sub]
-                        np.add.at(alo, dst, contrib_lo[sub])
-                        np.add.at(ahi, dst, contrib_hi[sub])
+        for level, (sel, kp, consts) in enumerate(self._lane_schedule()):
+            if rnd:
+                # Rank steps keep destinations distinct, so each step is a
+                # plain gather / add / round / scatter; lanes whose source
+                # adjoint was zero keep their running bound.
+                for step in self._rank_steps(level):
+                    dst = edge_dst[step]
+                    keep = lane_act[step]
+                    masked = not keep.all()
+                    if masked and vector:
+                        keep = keep[:, :, None]
+                    for acc, contrib, rounder in (
+                        (alo, contrib_lo, down_array),
+                        (ahi, contrib_hi, up_array),
+                    ):
+                        cur = acc[dst]
+                        new = contrib[step]
+                        np.add(cur, new, out=new)
+                        rounder(new, out=new)
+                        if masked:
+                            np.copyto(cur, new, where=keep)
+                            new = cur
+                        acc[dst] = new
+            else:
+                # Inactive-lane contributions were zeroed at emit, and
+                # adding 0.0 never flips a bound's bits (the running
+                # adjoint is never -0.0), so one add.at per level keeps
+                # the object sweep's per-destination order.
+                flat = self._apply_flat[level]
+                if flat.size:
+                    dst = edge_dst[flat]
+                    np.add.at(alo, dst, contrib_lo[flat])
+                    np.add.at(ahi, dst, contrib_hi[flat])
 
-            sel = self._contrib_schedule[level]
             if not sel.size:
                 continue
             src = edge_src[sel]
             salo = alo[src]
             sahi = ahi[src]
-            act = np.any(salo != 0.0, axis=2) | np.any(sahi != 0.0, axis=2)
+            act = (salo != 0.0) | (sahi != 0.0)
+            if vector:
+                act = act.any(axis=2)
             lane_act[sel] = act
-            any_act = act.any(axis=1)
-            edge_any[sel] = any_act
-            sub = sel[any_act]
-            if not sub.size:
-                continue
-            salo = salo[any_act]
-            sahi = sahi[any_act]
-            act = act[any_act]
-            plo = partial_lo[sub][:, :, None]
-            phi = partial_hi[sub][:, :, None]
-            p1 = plo * salo
-            p2 = plo * sahi
-            p3 = phi * salo
-            p4 = phi * sahi
-            if clean_nan:
-                for p in (p1, p2, p3, p4):
-                    p[np.isnan(p)] = 0.0
-                clo = np.where(p2 < p1, p2, p1)
-                clo = np.where(p3 < clo, p3, clo)
-                clo = np.where(p4 < clo, p4, clo)
-                chi = np.where(p2 > p1, p2, p1)
-                chi = np.where(p3 > chi, p3, chi)
-                chi = np.where(p4 > chi, p4, chi)
-            else:
-                clo = np.minimum(p1, p2)
-                t = np.minimum(p3, p4)
-                np.minimum(clo, t, out=clo)
-                chi = np.maximum(p1, p2, out=p2)
-                np.maximum(p3, p4, out=p4)
-                chi = np.maximum(chi, p4, out=chi)
-            if rnd:
-                clo = np.nextafter(clo, _NEG_INF)
-                chi = np.nextafter(chi, _POS_INF)
-            else:
-                inactive = ~act
-                if inactive.any():
-                    clo[inactive] = 0.0
-                    chi[inactive] = 0.0
-            contrib_lo[sub] = clo
-            contrib_hi[sub] = chi
+            # The gathered adjoint rows are this call's own temporaries,
+            # so the products overwrite them once nothing else reads them.
+            if kp:
+                c = consts[:, :, None] if vector else consts
+                p1 = np.multiply(c, salo[:kp], out=salo[:kp])
+                p2 = np.multiply(c, sahi[:kp], out=sahi[:kp])
+                self._store_lanes(
+                    contrib_lo, contrib_hi, sel[:kp], act[:kp],
+                    p1, p2, rnd=rnd, clean_nan=clean_nan,
+                )
+            if kp < sel.size:
+                rest = sel[kp:]
+                plo = partial_lo[rest]
+                phi = partial_hi[rest]
+                if vector:
+                    plo = plo[:, :, None]
+                    phi = phi[:, :, None]
+                sl, sh = salo[kp:], sahi[kp:]
+                p1 = plo * sl
+                p2 = plo * sh
+                p3 = np.multiply(phi, sl, out=sl)
+                p4 = np.multiply(phi, sh, out=sh)
+                self._store_lanes(
+                    contrib_lo, contrib_hi, rest, act[kp:],
+                    p1, p2, p3, p4, rnd=rnd, clean_nan=clean_nan,
+                )
+
+    @staticmethod
+    def _store_lanes(
+        contrib_lo, contrib_hi, edges, act, *products, rnd, clean_nan
+    ) -> None:
+        """Fold one group's endpoint products into its contribution rows.
+
+        Two products are :meth:`_sweep`'s point-partial rule: the other
+        two of ``Interval.__mul__`` repeat them bit for bit, and the
+        keep-first fold never picks a repeat.  Unrounded sweeps zero the
+        contributions of lanes whose source adjoint is zero.
+        """
+        if clean_nan:
+            lo, hi = hull(*products)
+        else:
+            # Tape.adjoint_vector's exact association order.
+            p1, p2, *rest = products
+            lo = np.minimum(p1, p2)
+            hi = np.maximum(p1, p2, out=p2)
+            if rest:
+                p3, p4 = rest
+                np.minimum(lo, np.minimum(p3, p4), out=lo)
+                np.maximum(hi, np.maximum(p3, p4, out=p4), out=hi)
+        if rnd:
+            down_array(lo, out=lo)
+            up_array(hi, out=hi)
+        elif not act.all():
+            inactive = ~act if lo.ndim == 2 else ~act[:, :, None]
+            np.copyto(lo, 0.0, where=inactive)
+            np.copyto(hi, 0.0, where=inactive)
+        contrib_lo[edges] = lo
+        contrib_hi[edges] = hi
+
+    def _lane_schedule(self) -> list[tuple[np.ndarray, int, np.ndarray]]:
+        """Per level, the edges :meth:`_sweep_lanes` emits, point first.
+
+        Each entry is ``(edges, kp, constants)``: the level's contribution
+        edges with the ``kp`` whose partial is one point constant in every
+        lane (:attr:`repro.ad.replay.ForwardPlan.point_edges`) in front,
+        and those constants as a ``(kp, 1)`` column.  The order within a
+        level does not matter: contributions are stored per edge and
+        applied in the apply schedule's order.
+        """
+        sched = self._lane_sched
+        if sched is None:
+            plan = self._forward_plan()
+            is_point = np.zeros(self.n_edges, dtype=bool)
+            is_point[plan.point_edges] = True
+            value = np.zeros(self.n_edges, dtype=np.float64)
+            value[plan.point_edges] = plan.point_values
+            sched = []
+            for sel in self._contrib_schedule:
+                point = is_point[sel]
+                first = sel[point]
+                sched.append(
+                    (
+                        np.concatenate((first, sel[~point])),
+                        first.size,
+                        value[first][:, None],
+                    )
+                )
+            self._lane_sched = sched
+        return sched
 
     # ------------------------------------------------------------------
     # Forward replay (record once, replay many)
@@ -951,8 +992,8 @@ class ReplayLanes:
             raise ValueError("adjoint sweep needs at least one seeded output")
         n, L = self.value_lo.shape
         rnd = rounding_enabled()
-        alo = np.zeros((n, L, 1), dtype=np.float64)
-        ahi = np.zeros((n, L, 1), dtype=np.float64)
+        alo = np.zeros((n, L), dtype=np.float64)
+        ahi = np.zeros((n, L), dtype=np.float64)
         for index, seed in seeds.items():
             if not (0 <= index < n):
                 raise IndexError(f"seed index {index} outside tape")
@@ -963,14 +1004,14 @@ class ReplayLanes:
             new_lo = alo[index] + slo
             new_hi = ahi[index] + shi
             if rnd:
-                new_lo = np.nextafter(new_lo, _NEG_INF)
-                new_hi = np.nextafter(new_hi, _POS_INF)
+                down_array(new_lo, out=new_lo)
+                up_array(new_hi, out=new_hi)
             alo[index] = new_lo
             ahi[index] = new_hi
         self.ct._sweep_lanes(
             alo, ahi, self.partial_lo, self.partial_hi, rnd=rnd, clean_nan=True
         )
-        return alo[..., 0], ahi[..., 0]
+        return alo, ahi
 
     def adjoint_vector(
         self, outputs: Sequence[int]

@@ -10,9 +10,14 @@ node.  This is the engine behind :meth:`CompiledTape.forward` /
 Replayed values and partials are **bit-identical** to re-recording the
 same program on the object tape.  That constraint drives every rule here:
 
-* ``+ - * /``, ``sqrt``, ``floor`` and ``nextafter`` are IEEE-exact and
-  correctly rounded, so NumPy array ops match Python ``float`` ops bit for
-  bit and can be vectorized directly;
+* ``+ - * /``, ``sqrt`` and ``floor`` are IEEE-exact and correctly
+  rounded, so NumPy array ops match Python ``float`` ops bit for bit and
+  can be vectorized directly;
+* every outward-rounding point goes through
+  :func:`repro.intervals.rounding.down_array` /
+  :func:`~repro.intervals.rounding.up_array`, which return exactly the
+  bits of ``math.nextafter`` (an int64 step per finite element, libm only
+  for ±inf/NaN and for arrays below the primitive's size gate);
 * transcendentals (``exp``, ``log``, ``sin`` ...) are *not* guaranteed to
   match libm across NumPy's SIMD paths, so endpoints go through the very
   same :mod:`math` functions the object path calls, element by element
@@ -23,8 +28,9 @@ same program on the object tape.  That constraint drives every rule here:
   ``cosh``) are evaluated per element through the exact scalar functions
   in :mod:`repro.intervals.functions`;
 * ``min``/``max`` tie-breaking follows Python's fold-left keep-first
-  semantics (``np.where`` chains, never ``np.minimum``), integer powers go
-  through per-element ``float.__pow__``, and every outward-rounding point
+  semantics (strict compares with ``np.where`` or, in :func:`hull`,
+  ``np.copyto``; never ``np.minimum``), integer powers go through
+  per-element ``float.__pow__``, and every outward-rounding point
   of the object evaluation is replicated (including the double rounding in
   interval division's reciprocal-then-multiply composition);
 * local partials are recomputed as the exact interval-arithmetic
@@ -49,12 +55,14 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import repeat
 from typing import Any
 
 import numpy as np
 
 from repro.intervals import Interval, as_interval
 from repro.intervals import functions as ifn
+from repro.intervals.rounding import down_array, up_array
 from repro.obs import metrics as _metrics
 
 __all__ = ["ForwardPlan", "ReplayError", "GuardDivergenceError", "check_guards"]
@@ -62,8 +70,6 @@ __all__ = ["ForwardPlan", "ReplayError", "GuardDivergenceError", "check_guards"]
 _C_GUARD_CHECKS = _metrics.counter("replay.guard_rechecks")
 _C_GUARD_DIVERGENCES = _metrics.counter("replay.guard_divergences")
 
-_NEG_INF = -np.inf
-_POS_INF = np.inf
 _LN2 = math.log(2.0)
 _LN10 = math.log(10.0)
 _TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
@@ -121,16 +127,37 @@ class GuardDivergenceError(RuntimeError):
 # Array interval primitives (bit-identical twins of Interval methods)
 # ----------------------------------------------------------------------
 def _dnr(x: np.ndarray, rnd: bool) -> np.ndarray:
-    """Outward-round a lower bound (``rounding.down`` on arrays).
+    """Outward-round a lower bound in place (``rounding.down`` on arrays).
 
-    ``np.nextafter`` matches ``math.nextafter`` bitwise for every input,
-    including the NaN / -inf pass-through cases ``down`` special-cases.
+    ``x`` must be a fresh temporary the caller owns: every call site
+    passes the array an expression just produced.  ``down_array`` matches
+    ``math.nextafter`` bitwise for every input, including the NaN / -inf
+    pass-through cases ``down`` special-cases.
     """
-    return np.nextafter(x, _NEG_INF) if rnd else x
+    return down_array(x, out=x) if rnd else x
 
 
 def _upr(x: np.ndarray, rnd: bool) -> np.ndarray:
-    return np.nextafter(x, _POS_INF) if rnd else x
+    return up_array(x, out=x) if rnd else x
+
+
+def hull(p1: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``Interval.__mul__``'s bound rule over endpoint products, in place.
+
+    NaN products (``0·inf``) become 0, then Python's fold-left ``min`` /
+    ``max`` over ``p1, *rest`` in order: a later product replaces the
+    running bound only when strictly smaller (larger), so ties keep the
+    earlier product's bits.  ``p1`` becomes the lower bound; every
+    product must be a fresh array the caller owns.  Returns ``(lo, hi)``.
+    """
+    for p in (p1, *rest):
+        np.copyto(p, 0.0, where=np.isnan(p))
+    hi = p1.copy()
+    for p in rest:
+        np.copyto(hi, p, where=p > hi)
+    for p in rest:
+        np.copyto(p1, p, where=p < p1)
+    return p1, hi
 
 
 def _keep_first_min(a, b):
@@ -153,18 +180,12 @@ def _isub(alo, ahi, blo, bhi, rnd):
 def _imul(alo, ahi, blo, bhi, rnd):
     """``Interval.__mul__``: four products in recorded order, NaN → 0,
     fold-left min/max, outward rounding."""
-    p1 = np.asarray(alo * blo)
-    p2 = np.asarray(alo * bhi)
-    p3 = np.asarray(ahi * blo)
-    p4 = np.asarray(ahi * bhi)
-    for p in (p1, p2, p3, p4):
-        np.copyto(p, 0.0, where=np.isnan(p))
-    lo = np.where(p2 < p1, p2, p1)
-    lo = np.where(p3 < lo, p3, lo)
-    lo = np.where(p4 < lo, p4, lo)
-    hi = np.where(p2 > p1, p2, p1)
-    hi = np.where(p3 > hi, p3, hi)
-    hi = np.where(p4 > hi, p4, hi)
+    lo, hi = hull(
+        np.asarray(alo * blo),
+        np.asarray(alo * bhi),
+        np.asarray(ahi * blo),
+        np.asarray(ahi * bhi),
+    )
     return _dnr(lo, rnd), _upr(hi, rnd)
 
 
@@ -181,12 +202,20 @@ def _idiv(alo, ahi, blo, bhi, rnd, what: str):
     return _imul(alo, ahi, rlo, rhi, rnd)
 
 
-def _pow_elem(arr, n: int) -> np.ndarray:
-    """Per-element ``float.__pow__`` (NumPy's pow is not bit-guaranteed)."""
-    arr = np.asarray(arr, dtype=np.float64)
-    flat = arr.reshape(-1)
-    out = np.fromiter((x**n for x in flat.tolist()), np.float64, flat.size)
-    return out.reshape(arr.shape)
+def _pow_elem(alo, ahi, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element ``x ** n`` of both endpoint arrays in one pass.
+
+    NumPy's pow is not bit-guaranteed, so each element goes through the
+    builtin ``pow(x, float(n))``: CPython converts an int exponent to a
+    float before calling libm ``pow``, so this is the very call (and the
+    very exceptions) of ``x ** n`` in the object engine.
+    """
+    both = np.concatenate((np.ravel(alo), np.ravel(ahi)))
+    out = np.fromiter(
+        map(pow, both.tolist(), repeat(float(n))), np.float64, both.size
+    )
+    half = both.size // 2
+    return out[:half].reshape(np.shape(alo)), out[half:].reshape(np.shape(ahi))
 
 
 def _ipown(alo, ahi, n: int, rnd, what: str = "pow"):
@@ -197,8 +226,7 @@ def _ipown(alo, ahi, n: int, rnd, what: str = "pow"):
     if n < 0:
         dlo, dhi = _ipown(alo, ahi, -n, rnd, what)
         return _idiv(1.0, 1.0, dlo, dhi, rnd, what)
-    lo_p = _pow_elem(alo, n)
-    hi_p = _pow_elem(ahi, n)
+    lo_p, hi_p = _pow_elem(alo, ahi, n)
     if n % 2 == 1:
         lo, hi = lo_p, hi_p
     else:
@@ -315,12 +343,49 @@ class _Step:
         self.c_hi = c_hi
 
 
+def _point_partials(steps) -> tuple[np.ndarray, np.ndarray]:
+    """The edges whose replayed partial is one point constant in every lane.
+
+    These are the edges of ``add``, ``sub`` and ``neg``, of constant
+    ``add``/``sub``, and of multiplication by a point constant (bitwise
+    ``lo == hi``): :meth:`ForwardPlan._exec` writes the same constant
+    into their partial rows on every replay.  Returns ``(edge ids,
+    constants)``.
+    """
+    edges: list[np.ndarray] = []
+    values: list[np.ndarray] = []
+
+    def add(ids: np.ndarray, value) -> None:
+        edges.append(ids)
+        values.append(np.broadcast_to(np.asarray(value, np.float64), ids.shape))
+
+    for key, st in steps:
+        if key in (("bin2", "add"), ("bin2", "sub")):
+            add(st.e0, 1.0)
+            add(st.e0 + 1, 1.0 if key[1] == "add" else -1.0)
+        elif key[:2] in (("cbin", "add"), ("cbin", "sub")):
+            add(st.e0, -1.0 if key[1] == "sub" and key[2] else 1.0)
+        elif key[:2] == ("cbin", "mul"):
+            point = st.c_lo.view(np.int64) == st.c_hi.view(np.int64)
+            add(st.e0[point], st.c_lo[point])
+        elif key == ("un", "neg"):
+            add(st.e0, -1.0)
+    if not edges:
+        return np.empty(0, np.int64), np.empty(0, np.float64)
+    return np.concatenate(edges), np.concatenate(values)
+
+
 class ForwardPlan:
     """Forward-level schedule + per-op recompute rules for one trace.
 
     Built once per :class:`CompiledTape` (lazily) and reused by every
     replay.  Construction runs the structure guard: it raises
     :class:`ReplayError` if the trace is not replayable.
+
+    ``point_edges`` / ``point_values`` list the edges whose replayed
+    partial is one point constant in every lane, with that constant
+    (see :func:`_point_partials`); the lane adjoint sweep multiplies by
+    them directly instead of gathering their partial rows.
     """
 
     def __init__(self, ct):
@@ -437,6 +502,7 @@ class ForwardPlan:
                 )
             steps.append((key, _Step(idx, e0, p0, p1, c_lo, c_hi)))
         self._steps = steps
+        self.point_edges, self.point_values = _point_partials(steps)
 
     # ------------------------------------------------------------------
     # Execution

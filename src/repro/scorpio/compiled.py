@@ -36,9 +36,10 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.ad.compiled import CompiledTape, _csr_gather
+from repro.ad.replay import hull
 from repro.ad.tape import Tape
 from repro.intervals import Interval
-from repro.intervals.rounding import rounding_enabled
+from repro.intervals.rounding import down_array, rounding_enabled, up_array
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span as _obs_span
 
@@ -62,9 +63,6 @@ __all__ = [
     "levels_from_csr",
     "scan_levels",
 ]
-
-_NEG_INF = -np.inf
-_POS_INF = np.inf
 
 _C_ANALYSES = _obs_metrics.counter("scorpio.analyses")
 _C_SIMPLIFY_REMOVED = _obs_metrics.counter("scorpio.simplify_removed")
@@ -105,22 +103,16 @@ def eq11_from_sweep(
         adj_lo, adj_hi = adj_lo[rows], adj_hi[rows]
     if not interval_mode:
         return np.abs(value_lo * adj_lo)
-    p1 = value_lo * adj_lo
-    p2 = value_lo * adj_hi
-    p3 = value_hi * adj_lo
-    p4 = value_hi * adj_hi
-    for p in (p1, p2, p3, p4):
-        p[np.isnan(p)] = 0.0
-    lo = np.where(p2 < p1, p2, p1)
-    lo = np.where(p3 < lo, p3, lo)
-    lo = np.where(p4 < lo, p4, lo)
-    hi = np.where(p2 > p1, p2, p1)
-    hi = np.where(p3 > hi, p3, hi)
-    hi = np.where(p4 > hi, p4, hi)
+    lo, hi = hull(
+        value_lo * adj_lo,
+        value_lo * adj_hi,
+        value_hi * adj_lo,
+        value_hi * adj_hi,
+    )
     if rounding_enabled():
-        lo = np.nextafter(lo, _NEG_INF)
-        hi = np.nextafter(hi, _POS_INF)
-    return hi - lo
+        down_array(lo, out=lo)
+        up_array(hi, out=hi)
+    return np.subtract(hi, lo, out=hi)
 
 
 def lane_eq11(

@@ -16,14 +16,17 @@ raise :class:`~repro.ad.replay.GuardDivergenceError` instead of silently
 computing the wrong program.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ad import ADouble, CompiledTape, Tape
 from repro.ad.replay import GuardDivergenceError, ReplayError
 from repro.intervals import AmbiguousComparisonError, Interval
+from repro.intervals import rounding as rounding_module
 from repro.intervals.rounding import rounded_mode
 
 from test_compiled_tape import N_INPUTS, program, record
@@ -83,19 +86,15 @@ def test_adjoint_over_replayed_state_bitwise(
             assert np.float64(hi[k]).tobytes() == np.float64(iv.hi).tobytes()
 
 
-@given(
-    program(),
-    st.lists(st.tuples(points, radii), min_size=1, max_size=4),
-    st.booleans(),
-)
-@settings(max_examples=30, deadline=None)
-def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
+def assert_lanes_match_scalar_replays(steps, lane_specs, rounding):
     """Every lane of a batched replay equals the scalar replay (and hence
-    a recording) of that lane's inputs — values, partials and adjoints."""
+    a recording) of that lane's inputs — values, partials, adjoints and
+    vector adjoints."""
     with rounded_mode(rounding):
         first_pt, first_rad = lane_specs[0]
         tape, regs = record(steps, centered(first_pt, first_rad))
         out = regs[-1].node.index
+        outs = sorted({out, regs[len(regs) // 2].node.index})
         ct = CompiledTape(tape)
 
         ivs = [centered(pt, rad) for pt, rad in lane_specs]
@@ -103,6 +102,7 @@ def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
         hi = np.array([[iv.hi for iv in lane] for lane in ivs]).T
         lanes = ct.forward_lanes(lo, hi)
         alo, ahi = lanes.adjoint({out: 1.0})
+        vlo, vhi = lanes.adjoint_vector(outs)
 
         for j, lane in enumerate(ivs):
             ct.forward(lane)
@@ -113,6 +113,142 @@ def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
             slo, shi = ct.adjoint({out: 1.0})
             assert alo[:, j].tobytes() == slo.tobytes()
             assert ahi[:, j].tobytes() == shi.tobytes()
+            slo, shi = ct.adjoint_vector(outs)
+            assert vlo[:, j].tobytes() == slo.tobytes()
+            assert vhi[:, j].tobytes() == shi.tobytes()
+
+
+lane_batches = st.lists(st.tuples(points, radii), min_size=1, max_size=4)
+
+
+@given(program(), lane_batches, st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
+    """At the default gate these few lanes round through np.nextafter."""
+    assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
+
+
+@given(program(), lane_batches, st.booleans())
+@settings(
+    max_examples=30,
+    deadline=None,
+    # The fixture only sets a module constant; every example sets it alike.
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_forward_lanes_integer_path_bitwise(
+    monkeypatch, steps, lane_specs, rounding
+):
+    """The same identities with every array rounding on the integer step."""
+    monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", 0)
+    assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
+
+
+def _point_rule_program(x, y, z):
+    """Every point-partial edge kind next to the general ones.
+
+    Unrounded, ``p``'s only consumer multiplies it by ``z``, so lanes
+    where ``z`` is ``[0, 0]`` give ``p``'s point edges a zero source
+    adjoint.  Rounded, an adjoint on a path to the output is never
+    exactly zero, but the unused ``0.5 * s`` keeps one in every lane.
+    The ``Interval(-0.5, 2.0)`` factor is a constant that is not a point.
+    """
+    p = x + y  # add: 1, 1
+    q = p * z  # mul: per-lane partials
+    r = q - x  # sub: 1, -1
+    s = -r  # neg: -1
+    t = 3.0 * s  # point constant multiplier
+    0.5 * s  # recorded, never read: a zero adjoint in every lane
+    u = s * Interval(-0.5, 2.0)  # non-point constant: four products
+    v = 1.5 + t  # constant add
+    w = 2.0 - v  # reflected constant sub: -1
+    return w + u * y
+
+
+POINT_RULE_LANES = [
+    # x, y, z bounds per lane: zero z, signed zeros, ties, points.
+    ((1.0, 2.0), (0.5, 0.75), (0.0, 0.0)),
+    ((-1.0, -0.0), (-0.0, 0.0), (-0.0, -0.0)),
+    ((0.25, 0.25), (-0.25, -0.25), (-0.0, 0.0)),
+    ((-2.0, 1.0), (-1.0, 3.0), (0.5, 1.5)),
+    ((0.0, 0.0), (0.0, 0.0), (-1.0, 1.0)),
+    ((-3.0, -1.0), (2.0, 2.0), (-2.0, -0.5)),
+]
+
+
+@pytest.mark.parametrize("rounding", [True, False])
+@pytest.mark.parametrize("gate", [None, 0])
+def test_point_partial_rule_bitwise(monkeypatch, gate, rounding):
+    """Point-constant edges take the two-product rule; a non-point
+    constant multiplier keeps the four products.  Lanes with zero source
+    adjoints, -0.0 bounds and tied products stay bit-identical to
+    recording each lane on the object tape."""
+    if gate is not None:
+        monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", gate)
+    lanes_iv = [[Interval(*b) for b in lane] for lane in POINT_RULE_LANES]
+    with rounded_mode(rounding):
+
+        def record_lane(ivs):
+            tape = Tape()
+            with tape:
+                xs = [ADouble.input(v, label=f"x{i}") for i, v in enumerate(ivs)]
+                out = _point_rule_program(*xs)
+            return tape, out.node.index
+
+        tape, out = record_lane(lanes_iv[0])
+        ct = CompiledTape(tape)
+        plan = ct._forward_plan()
+        point = set(plan.point_edges.tolist())
+        ops = [ct.op_name(int(j)) for j in ct._edge_src]
+        # x+y, q-x, -r, 3.0*s, 0.5*s, 1.5+t, 2.0-v and the final add.
+        assert sorted(ops[k] for k in point) == sorted(
+            ["add"] * 5 + ["sub"] * 3 + ["neg"] + ["mul"] * 2
+        )
+        # p*z and u*y (two edges each) and s*[-0.5, 2] take four products.
+        assert [op for k, op in enumerate(ops) if k not in point] == ["mul"] * 5
+        lo = np.array([[iv.lo for iv in lane] for lane in lanes_iv]).T
+        hi = np.array([[iv.hi for iv in lane] for lane in lanes_iv]).T
+        lanes = ct.forward_lanes(lo, hi)
+        alo, ahi = lanes.adjoint({out: 1.0})
+        vlo, vhi = lanes.adjoint_vector([out, out - 1])
+        zero = (alo == 0.0) & (ahi == 0.0)
+        assert zero.all(axis=1).any()
+        if not rounding:
+            assert (zero.any(axis=1) & ~zero.all(axis=1)).any()
+        for j, ivs in enumerate(lanes_iv):
+            lane_tape, lane_out = record_lane(ivs)
+            ref = Tape.adjoint(lane_tape, {lane_out: 1.0})
+            assert alo[:, j].tobytes() == np.array(
+                [r.lo for r in ref]
+            ).tobytes()
+            assert ahi[:, j].tobytes() == np.array(
+                [r.hi for r in ref]
+            ).tobytes()
+            rlo, rhi = Tape.adjoint_vector(lane_tape, [lane_out, lane_out - 1])
+            assert vlo[:, j].tobytes() == np.asarray(rlo).tobytes()
+            assert vhi[:, j].tobytes() == np.asarray(rhi).tobytes()
+
+
+def test_lane_sweep_keeps_no_lane_sized_buffer():
+    """The lane sweep's contribution arrays live for one call: a sweep
+    leaves its two results behind and only per-edge schedule caches."""
+    L = 4096
+    rng = np.random.default_rng(5)
+    lo = rng.uniform(-2.0, 2.0, (3, L))
+    hi = lo + rng.uniform(0.0, 0.5, (3, L))
+    tape = Tape()
+    with tape:
+        xs = [ADouble.input(Interval(1.0, 1.5), label=f"x{i}") for i in range(3)]
+        out = _point_rule_program(*xs).node.index
+    lanes = CompiledTape(tape).forward_lanes(lo, hi)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        alo, ahi = lanes.adjoint({out: 1.0})
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    kept -= alo.nbytes + ahi.nbytes
+    assert kept < lanes.ct.n_edges * L * 8 // 8
 
 
 @given(program(), points, radii, points, radii)

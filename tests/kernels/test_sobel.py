@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.images import checkerboard, gradient_image, natural_image
-from repro.intervals import Interval
+from repro.intervals import Interval, rounding
 from repro.kernels.sobel import (
     analyse_sobel,
     analyse_sobel_pixel,
@@ -121,8 +121,11 @@ class TestWholeImageMaps:
         assert np.median(ratio) == pytest.approx(2.0, rel=0.25)
 
     def test_map_bitwise_equal_to_per_pixel_analysis(self, map_image):
+        # One lane per pixel: enough lanes that every array rounding of
+        # the replay takes the integer step at the default gate.
+        assert map_image.size >= rounding.INT_STEP_MIN_SIZE
         maps = analyse_sobel_map(map_image)
-        for y, x in [(7, 9), (20, 20), (33, 12)]:
+        for y, x in [(1, 1), (7, 9), (20, 20), (33, 12), (46, 30), (46, 46)]:
             scalar = analyse_sobel_pixel(
                 map_image[y - 1 : y + 2, x - 1 : x + 2]
             )

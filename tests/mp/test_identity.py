@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.intervals import Interval
+from repro.intervals import Interval, rounding
 from repro.mp import lane_chunks, live_segments, parallel_lane_significances
 from repro.scorpio import Analysis, CachedTrace
 
@@ -259,6 +259,16 @@ def test_requested_rows_are_full_matrix_rows(kernel, data):
     full = trace.lane_significances(lanes)
     got = trace.lane_significances(lanes, rows=rows)
     assert got.shape == (len(rows), lo.shape[1])
+    assert got.tobytes() == full[rows].tobytes()
+    # These 1-40 lanes round below the gate, through np.nextafter; with
+    # the gate at 0 every array rounding takes the integer step, and the
+    # matrix and its rows keep their bits.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rounding, "INT_STEP_MIN_SIZE", 0)
+        lanes = trace.forward_lanes(lo, hi)
+        stepped = trace.lane_significances(lanes)
+        got = trace.lane_significances(lanes, rows=rows)
+    assert stepped.tobytes() == full.tobytes()
     assert got.tobytes() == full[rows].tobytes()
 
 

@@ -10,6 +10,7 @@ match exactly.
 import numpy as np
 import pytest
 
+from repro.intervals import rounding
 from repro.intervals.rounding import rounded_mode
 from repro.kernels.blackscholes.analysis import analyse_option
 from repro.kernels.dct.analysis import analyse_dct_block
@@ -52,6 +53,16 @@ class TestKernelEquivalence:
         obj = analyse_dct_block(block)
         cmp = analyse_dct_block(block, compiled=True)
         assert np.array_equal(obj, cmp)
+
+
+class TestKernelEquivalenceIntegerPath(TestKernelEquivalence):
+    """The same identities with the rounding gate lowered to 0, so every
+    array rounding of the compiled sweep and Eq. 11 takes the integer
+    step (at the default gate only dct's widest levels do)."""
+
+    @pytest.fixture(autouse=True)
+    def _integer_step(self, monkeypatch):
+        monkeypatch.setattr(rounding, "INT_STEP_MIN_SIZE", 0)
 
 
 class TestApiBehaviour:
