@@ -19,26 +19,40 @@
   counters, and everything the pipeline itself counts).
 * ``GET /healthz`` / ``GET /kernels`` — liveness and discovery.
 
-Analysis work never runs on the event loop: every request's kernel work
-is shipped to a thread pool, so a cold recording (tens of milliseconds of
+Each endpoint's work is written once, as a module-level request
+function that builds the response body: ``_analyse_in_worker_process``
+(with ``_analyse_batch_in_worker_process`` for coalesced batches),
+``_advise_in_worker_process`` and ``_tune_in_worker_process``.  None of
+them runs on the event loop: every request's function is shipped to a
+serve thread, so a cold recording (tens of milliseconds of
 operator-overloaded taping) does not stall concurrently arriving warm
-requests, which are pure vectorized replay.  Replaying warm batches of
+requests, which are pure vectorized replay.  On that thread the
+configured executor is the only switch: the thread backend calls the
+function in place, the process backend runs it as one task on a
+:class:`repro.mp.ProcessExecutor` worker.  Replaying warm batches of
 the small kernels on the loop itself was measured and dropped: it saves
 the pool hop's interpreter-lock hand-offs, about 1 ms of server CPU per
 request, but puts all serving on one core, and on a shared 2-vCPU host
 the throughput then swung with that one core's speed from run to run
-(``docs/BENCHMARKS.md``).  Each kernel owns one
-:class:`~repro.scorpio.TraceCache` — kernel identity is the cache key —
-and the cache's own per-key record lock guarantees two racing cold
-requests record exactly once.
+(``docs/BENCHMARKS.md``).
 
-Every analysis failure on ``/analyse`` answers 500 with the detail
-``"<Type>: <message>"``, on either backend and batch setting.
+The functions analyse against a serving state: the registry plus one
+:class:`~repro.scorpio.TraceCache` per kernel — kernel identity is the
+cache key — whose per-key record lock guarantees two racing cold
+requests record exactly once.  The thread backend passes the service's
+own state; each pool worker keeps one of its own per process, so
+``GET /kernels`` reports cache stats on the thread backend only, and
+the ``trace_cache_*`` totals in ``GET /metrics`` add up the workers'.
+
+Every analysis failure, on ``/analyse``, ``/advise`` or ``/tune``,
+answers 500 with the detail ``"<Type>: <message>"``, on either backend
+and batch setting.
 """
 
 from __future__ import annotations
 
 import asyncio
+import functools
 import os
 import threading
 import time
@@ -53,6 +67,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import profile as obs_profile
 from repro.obs import trace as obs_trace
 from repro.obs.flight import FlightRecorder, RequestRecord
+from repro.runtime.task import ExecutionMode, Task
 from repro.scorpio import TraceCache
 from repro.scorpio.serialize import report_to_json
 
@@ -73,14 +88,13 @@ class ServiceConfig:
     max_body: int = 4 * 1024 * 1024
     workers: int = 4  # analysis thread / process pool size
     validate: bool = False  # TraceCache re-record validation
-    # Analysis backend: "thread" ships /analyse work to the in-process
-    # thread pool (the default); "process" ships it to a
+    # Analysis backend, where every endpoint's request function runs:
+    # "thread" (the default) calls it on the serve thread pool against
+    # the service's own TraceCaches; "process" runs it as a task on a
     # :class:`repro.mp.ProcessExecutor` whose long-lived workers each
-    # keep their own per-process TraceCache (record once per worker,
+    # keep their own per-process TraceCaches (record once per worker,
     # replay after — responses are byte-identical either way, which is
-    # the cache's pinned invariant).  /advise and /tune bodies follow
-    # the same backend: thread pool by default, pool workers under
-    # executor="process".
+    # the cache's pinned invariant).
     executor: str = "thread"
     # Dynamic micro-batching of POST /analyse: concurrent requests for
     # one kernel that queue while the previous batch runs are coalesced
@@ -144,11 +158,12 @@ def _request_info() -> "dict[str, Any] | None":
 
 
 def _error_detail(exc: BaseException) -> str:
-    """How /analyse reports a failed analysis: ``"<Type>: <message>"``.
+    """How the service reports a failed analysis: ``"<Type>: <message>"``.
 
-    Pool workers ship failures home in this form because some exceptions
-    (``AmbiguousComparisonError`` among them) do not survive a pickle
-    round trip, so every backend renders them this way.
+    Coalesced batches ship per-request failures home in this form
+    because some exceptions (``AmbiguousComparisonError`` among them) do
+    not survive a pickle round trip, so every endpoint and backend
+    renders them this way.
     """
     return f"{type(exc).__name__}: {exc}"
 
@@ -185,122 +200,143 @@ def _assemble_trace(trace_id: str) -> list[dict[str, Any]]:
     forest.sort(key=lambda node: node.get("start_epoch") or 0.0)
     return forest
 
-# Per-worker-process serving state for the "process" analysis backend:
-# each long-lived pool worker lazily builds the default registry and one
-# TraceCache per kernel, so it records a kernel's trace once and replays
-# it for every later request it handles.
-_WORKER_STATE: dict[str, Any] | None = None
 
+class _ServeState:
+    """What the request functions analyse against: the kernel registry
+    plus one :class:`TraceCache` per kernel.
 
-def _worker_entry_cache(
-    kernel_id: str, validate: bool, store_dir: "str | None"
-) -> tuple[KernelEntry, TraceCache]:
-    """This worker's registry entry and TraceCache for one kernel.
-
-    With a ``store_dir`` every pool worker attaches the *persisted* tape
-    instead of re-recording its own copy: the first worker to record a
-    kernel saves the tape, and every other worker (and every restart)
-    warm-starts from disk.
+    A TraceCache is per-process, so the state pickles as its two cache
+    settings, and unpickling gives the receiving process its own state
+    (:func:`_process_state`).  The thread backend hands the service's
+    state to the request functions; the process backend ships the same
+    argument to its pool workers, and a task the executor falls back to
+    running in the parent keeps the service's state.
     """
-    global _WORKER_STATE
-    if _WORKER_STATE is None:
-        _WORKER_STATE = {"registry": default_registry(), "caches": {}}
-    entry = _WORKER_STATE["registry"][kernel_id]
-    cache = _WORKER_STATE["caches"].get(kernel_id)
-    if cache is None:
-        cache = _WORKER_STATE["caches"].setdefault(
-            kernel_id, TraceCache(validate=validate, store_dir=store_dir)
-        )
-    return entry, cache
+
+    def __init__(
+        self,
+        registry: dict[str, KernelEntry],
+        validate: bool,
+        store_dir: "str | None",
+    ):
+        self.registry = registry
+        self.validate = validate
+        self.store_dir = store_dir
+        self.caches = {
+            kid: TraceCache(validate=validate, store_dir=store_dir)
+            for kid in registry
+        }
+
+    def __reduce__(self):
+        return _process_state, (self.validate, self.store_dir)
+
+    def __getitem__(self, kernel_id: str) -> tuple[KernelEntry, TraceCache]:
+        return self.registry[kernel_id], self.caches[kernel_id]
+
+
+@functools.cache
+def _process_state(validate: bool, store_dir: "str | None") -> _ServeState:
+    """This process's serving state for one pair of cache settings.
+
+    Built once per pool worker over the default registry, the only one
+    the process backend serves, so each worker records a kernel's trace
+    once and replays it for every later request it handles.  With a
+    ``store_dir`` every worker attaches the *persisted* tape instead of
+    re-recording its own copy: the first worker to record a kernel saves
+    the tape, and every other worker (and every restart) warm-starts
+    from disk.
+    """
+    return _ServeState(default_registry(), validate, store_dir)
+
+
+# The request functions: each endpoint's work, written once.  The service
+# runs them on whichever executor is configured (SignificanceService._call),
+# so "worker" means a serve pool thread or a pool worker process.
+
+
+def _count(outcome: str) -> None:
+    """Count one analysed request under its cache outcome."""
+    counter = _OUTCOME_COUNTER.get(outcome)
+    if counter is not None:
+        counter.inc()
+
+
+def _analysed(
+    kernel_id: str, intervals: list, state: _ServeState
+) -> tuple[Any, str]:
+    """(report, cache outcome) of one request, counted."""
+    entry, cache = state[kernel_id]
+    report, outcome = cache.analyse_outcome(
+        entry.cache_key, entry.recorder, intervals, simplify=entry.simplify
+    )
+    _count(outcome)
+    return report, outcome
 
 
 def _analyse_in_worker_process(
-    kernel_id: str,
-    intervals: tuple,
-    validate: bool,
-    store_dir: "str | None" = None,
+    kernel_id: str, intervals: list, state: _ServeState
 ) -> tuple[bytes, str]:
-    """Run one /analyse request inside a repro.mp pool worker.
+    """One /analyse request: the response body and the cache outcome.
 
-    Returns the serialized report body and the cache outcome.  The body
-    is byte-identical to the thread backend's response for the same
-    ranges — recording and replay serialize identically, so it does not
-    matter which worker (or how cold) answers.
+    The body is ``report_to_json`` of the report, byte-identical to an
+    in-process analysis of the same ranges whichever backend, worker or
+    cache state answers: recording and replay serialize identically.
     """
-    entry, cache = _worker_entry_cache(kernel_id, validate, store_dir)
-    report, outcome = cache.analyse_outcome(
-        entry.cache_key,
-        entry.recorder,
-        list(intervals),
-        simplify=entry.simplify,
-    )
+    report, outcome = _analysed(kernel_id, intervals, state)
     return report_to_json(report).encode("utf-8"), outcome
 
 
 def _analyse_batch_in_worker_process(
-    kernel_id: str,
-    intervals_batch: tuple,
-    validate: bool,
-    store_dir: "str | None" = None,
+    kernel_id: str, intervals_batch: list, state: _ServeState
 ) -> list:
-    """Run one coalesced /analyse batch inside a repro.mp pool worker.
+    """One coalesced /analyse batch, replayed as ONE lane-batched sweep.
 
-    Returns one picklable tagged item per request (``("ok", body,
-    outcome)`` / ``("err", message)``), bodies byte-identical to what
-    the same requests would have answered unbatched.
+    Returns one picklable tagged item per request, ``("ok", body,
+    outcome)`` or ``("err", detail)``, each exactly what the request
+    answers unbatched.
     """
-    entry, cache = _worker_entry_cache(kernel_id, validate, store_dir)
+    entry, cache = state[kernel_id]
     try:
         outcomes = cache.analyse_batch_outcome(
             entry.cache_key,
             entry.recorder,
-            [list(intervals) for intervals in intervals_batch],
+            intervals_batch,
             simplify=entry.simplify,
         )
-        return [
-            ("ok", report_to_json(report).encode("utf-8"), outcome)
-            for report, outcome in outcomes
-        ]
-    except Exception:
+    except Exception as exc:  # noqa: BLE001 - answered per request
+        if len(intervals_batch) == 1:
+            # A batch of one ran as its unbatched analysis already, so
+            # its failure is its answer.
+            return [("err", _error_detail(exc))]
         # Batch-level failure (e.g. an ambiguous comparison poisoning
         # the shared sweep): retry each request alone so only the
-        # culprits fail — identical outcome to unbatched dispatch.
+        # culprits fail, exactly as if they had never been batched.
         items: list = []
         for intervals in intervals_batch:
             try:
-                report, outcome = cache.analyse_outcome(
-                    entry.cache_key,
-                    entry.recorder,
-                    list(intervals),
-                    simplify=entry.simplify,
+                body, outcome = _analyse_in_worker_process(
+                    kernel_id, intervals, state
                 )
-                items.append(
-                    ("ok", report_to_json(report).encode("utf-8"), outcome)
-                )
-            except Exception as exc:  # noqa: BLE001 - per-request isolation
-                items.append(("err", _error_detail(exc)))
+                items.append(("ok", body, outcome))
+            except Exception as err:  # noqa: BLE001 - per-request isolation
+                items.append(("err", _error_detail(err)))
         return items
+    items = []
+    for report, outcome in outcomes:
+        _count(outcome)
+        items.append(("ok", report_to_json(report).encode("utf-8"), outcome))
+    return items
 
 
 def _advise_in_worker_process(
-    kernel_id: str,
-    intervals: tuple,
-    threshold: float,
-    validate: bool,
-    store_dir: "str | None" = None,
-) -> tuple[dict, str]:
-    """Run one /advise body inside a repro.mp pool worker."""
+    kernel_id: str, intervals: list, threshold: float, state: _ServeState
+) -> Response:
+    """One /advise request: fastmath substitution advice for the report."""
     from repro.scorpio.advisor import render_advice, suggest_approximations
 
-    entry, cache = _worker_entry_cache(kernel_id, validate, store_dir)
-    report, outcome = cache.analyse_outcome(
-        entry.cache_key,
-        entry.recorder,
-        list(intervals),
-        simplify=entry.simplify,
-    )
+    report, outcome = _analysed(kernel_id, intervals, state)
     suggestions = suggest_approximations(report, float(threshold))
-    return (
+    return json_response(
         {
             "kernel": kernel_id,
             "threshold": float(threshold),
@@ -317,7 +353,7 @@ def _advise_in_worker_process(
             ],
             "advice": render_advice(suggestions),
         },
-        outcome,
+        headers={"X-Repro-Cache": outcome},
     )
 
 
@@ -326,8 +362,8 @@ def _tune_in_worker_process(
     size: "int | None",
     target_quality: "float | None",
     energy_budget: "float | None",
-) -> dict:
-    """Run one /tune body inside a repro.mp pool worker."""
+) -> Response:
+    """One /tune request: the ratio-knob search's recommendation."""
     from repro.runtime.tuning import (
         best_quality_under_energy,
         min_ratio_for_quality,
@@ -348,21 +384,23 @@ def _tune_in_worker_process(
             higher_is_better=setup.higher_is_better,
         )
         mode = "energy_budget"
-    return {
-        "kernel": kernel_id,
-        "mode": mode,
-        "taskwait": {"ratio": result.ratio},
-        "ratio": result.ratio,
-        "quality": result.quality,
-        "quality_metric": setup.quality_metric,
-        "energy": result.energy,
-        "satisfied": result.satisfied,
-        "workload": setup.workload,
-        "probes": {
-            f"{ratio:.6g}": {"quality": q, "energy": e}
-            for ratio, (q, e) in sorted(result.probes.items())
-        },
-    }
+    return json_response(
+        {
+            "kernel": kernel_id,
+            "mode": mode,
+            "taskwait": {"ratio": result.ratio},
+            "ratio": result.ratio,
+            "quality": result.quality,
+            "quality_metric": setup.quality_metric,
+            "energy": result.energy,
+            "satisfied": result.satisfied,
+            "workload": setup.workload,
+            "probes": {
+                f"{ratio:.6g}": {"quality": q, "energy": e}
+                for ratio, (q, e) in sorted(result.probes.items())
+            },
+        }
+    )
 
 
 class SignificanceService:
@@ -399,13 +437,14 @@ class SignificanceService:
         # pool workers) see the effective directory, env var included.
         if self.config.store_dir is None:
             self.config.store_dir = os.environ.get("REPRO_TAPE_DIR") or None
-        self.caches: dict[str, TraceCache] = {
-            kid: TraceCache(
-                validate=self.config.validate,
-                store_dir=self.config.store_dir,
-            )
-            for kid in self.registry
-        }
+        self._state = _ServeState(
+            self.registry, self.config.validate, self.config.store_dir
+        )
+        self.caches: dict[str, TraceCache] = self._state.caches
+        # GET /kernels reports the caches that answer requests.  Pool
+        # workers keep their own, which only /metrics adds up; the
+        # service's caches then serve just the executor's fallbacks.
+        self._reported_caches = self.caches if self._mp is None else {}
         if self.config.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         # One request coalescer per kernel (max_batch=1 -> none; the
@@ -415,7 +454,10 @@ class SignificanceService:
             self._batchers = {
                 kid: KernelBatcher(
                     max_batch=self.config.max_batch,
-                    dispatch=self._make_batch_dispatch(entry),
+                    # The whole coalesced batch goes to one serve thread.
+                    dispatch=functools.partial(
+                        self._in_worker, self._batch_analyse_entry, entry
+                    ),
                     name=kid,
                 )
                 for kid, entry in self.registry.items()
@@ -575,18 +617,52 @@ class SignificanceService:
 
         return wrapped
 
-    async def _in_worker(self, fn: Callable[[], Any]) -> Any:
-        """Run blocking analysis work off the event loop.
+    # ------------------------------------------------------------------
+    # Dispatch: the serve thread hop, then the configured executor
+    # ------------------------------------------------------------------
+    async def _in_worker(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` on a serve pool thread, off the event loop.
 
         ``run_in_executor`` does not carry contextvars onto the pool
         thread; :func:`repro.obs.context.run_with` is the explicit hop
-        that keeps the request's trace context attached to its work.
+        that keeps the request's trace context attached to its work.  A
+        failure answers 500 with the detail ``"<Type>: <message>"``.
         """
         loop = asyncio.get_running_loop()
-        ctx = obs_context.current()
-        return await loop.run_in_executor(
-            self._executor, lambda: obs_context.run_with(ctx, fn)
+        try:
+            return await loop.run_in_executor(
+                self._executor,
+                obs_context.run_with,
+                obs_context.current(),
+                functools.partial(fn, *args),
+            )
+        except Exception as exc:  # noqa: BLE001 - answered as a 500
+            raise HttpError(500, _error_detail(exc)) from exc
+
+    def _call(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """``fn(*args)`` on the configured executor: the backend switch.
+
+        The thread backend calls ``fn`` here, on the serve thread.  The
+        process backend runs it as one task on a pool worker, where a
+        :class:`_ServeState` argument arrives as that worker's own state.
+        """
+        if self._mp is None:
+            return fn(*args)
+        task = Task(fn=fn, args=args, label=fn.__name__)
+        [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
+        return result.value
+
+    def _batch_analyse_entry(self, entry: KernelEntry, batch: list) -> list:
+        """Tagged per-request results of one coalesced batch."""
+        return self._call(
+            _analyse_batch_in_worker_process,
+            entry.kernel_id,
+            batch,
+            self._state,
         )
+
+    # perfbench/layers.py times the batch envelope under this name too.
+    _mp_batch_analyse_entry = _batch_analyse_entry
 
     def _entry(self, payload: dict) -> KernelEntry:
         kernel_id = payload.get("kernel")
@@ -606,120 +682,6 @@ class SignificanceService:
             return parse_intervals(payload.get("inputs"), entry)
         except ValueError as exc:
             raise HttpError(400, str(exc)) from exc
-
-    def _analyse_entry(self, entry: KernelEntry, intervals) -> tuple[Any, str]:
-        """(report, cache outcome) through the kernel's TraceCache."""
-        cache = self.caches[entry.kernel_id]
-        report, outcome = cache.analyse_outcome(
-            entry.cache_key,
-            entry.recorder,
-            intervals,
-            simplify=entry.simplify,
-        )
-        counter = _OUTCOME_COUNTER.get(outcome)
-        if counter is not None:
-            counter.inc()
-        return report, outcome
-
-    def _mp_analyse_entry(
-        self, entry: KernelEntry, intervals
-    ) -> tuple[bytes, str]:
-        """(response body, cache outcome) via the process backend."""
-        from repro.runtime.task import ExecutionMode, Task
-
-        task = Task(
-            fn=_analyse_in_worker_process,
-            args=(
-                entry.kernel_id,
-                tuple(intervals),
-                self.config.validate,
-                self.config.store_dir,
-            ),
-            label="serve.analyse",
-        )
-        [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-        body, outcome = result.value
-        counter = _OUTCOME_COUNTER.get(outcome)
-        if counter is not None:
-            counter.inc()
-        return body, outcome
-
-    # ------------------------------------------------------------------
-    # Batched dispatch (micro-batching of POST /analyse)
-    # ------------------------------------------------------------------
-    def _make_batch_dispatch(self, entry: KernelEntry):
-        """The async dispatch a kernel's :class:`KernelBatcher` calls.
-
-        Ships the whole coalesced batch to the same executor the
-        unbatched path uses (thread pool, or one repro.mp pool worker),
-        where it runs as ONE lane-batched replay sweep.
-        """
-
-        async def dispatch(batch: list) -> list:
-            if self._mp is not None:
-                return await self._in_worker(
-                    lambda: self._mp_batch_analyse_entry(entry, batch)
-                )
-            return await self._in_worker(
-                lambda: self._batch_analyse_entry(entry, batch)
-            )
-
-        return dispatch
-
-    def _count_item(self, item: tuple) -> tuple:
-        if item[0] == "ok":
-            counter = _OUTCOME_COUNTER.get(item[2])
-            if counter is not None:
-                counter.inc()
-        return item
-
-    def _batch_analyse_entry(self, entry: KernelEntry, batch: list) -> list:
-        """Tagged per-request results of one coalesced batch (thread)."""
-        cache = self.caches[entry.kernel_id]
-        try:
-            outcomes = cache.analyse_batch_outcome(
-                entry.cache_key,
-                entry.recorder,
-                batch,
-                simplify=entry.simplify,
-            )
-            return [
-                self._count_item(
-                    ("ok", report_to_json(report).encode("utf-8"), outcome)
-                )
-                for report, outcome in outcomes
-            ]
-        except Exception:
-            # Batch-level failure: retry each request alone so only the
-            # culprits fail, exactly as if they had never been batched.
-            items = []
-            for intervals in batch:
-                try:
-                    report, outcome = self._analyse_entry(entry, intervals)
-                    body = report_to_json(report).encode("utf-8")
-                    items.append(("ok", body, outcome))
-                except Exception as exc:  # noqa: BLE001 - isolated per req
-                    items.append(("err", _error_detail(exc)))
-            return items
-
-    def _mp_batch_analyse_entry(
-        self, entry: KernelEntry, batch: list
-    ) -> list:
-        """Tagged per-request results of one coalesced batch (process)."""
-        from repro.runtime.task import ExecutionMode, Task
-
-        task = Task(
-            fn=_analyse_batch_in_worker_process,
-            args=(
-                entry.kernel_id,
-                tuple(tuple(intervals) for intervals in batch),
-                self.config.validate,
-                self.config.store_dir,
-            ),
-            label="serve.analyse_batch",
-        )
-        [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-        return [self._count_item(item) for item in result.value]
 
     # ------------------------------------------------------------------
     # Handlers
@@ -753,6 +715,7 @@ class SignificanceService:
         kernels = []
         for kid in sorted(self.registry):
             entry = self.registry[kid]
+            cache = self._reported_caches.get(kid)
             kernels.append(
                 {
                     "id": kid,
@@ -761,7 +724,7 @@ class SignificanceService:
                     "input_names": list(entry.input_names),
                     "simplify": entry.simplify,
                     "quality_metric": entry.quality_metric,
-                    "cache": self.caches[kid].stats(),
+                    "cache": None if cache is None else cache.stats(),
                 }
             )
         return json_response({"kernels": kernels})
@@ -812,46 +775,31 @@ class SignificanceService:
         if info is not None:
             info["kernel"] = entry.kernel_id
         t_dispatch = time.perf_counter()
-        # Every failure becomes an ("err", detail) item, so all backends
-        # and batch settings answer it with the same bytes.
-        batch_header = "1/0"
-        try:
-            if self._batchers is not None:
-                item, size, index = await self._batchers[
-                    entry.kernel_id
-                ].submit(intervals)
-                batch_header = f"{size}/{index}"
-                if info is not None:
-                    info["stages"]["dispatch"] = (
-                        time.perf_counter() - t_dispatch
-                    )
-                    info["batch_size"] = size
-                    info["batch_index"] = index
-            elif self._mp is not None:
-                item = (
-                    "ok",
-                    *await self._in_worker(
-                        lambda: self._mp_analyse_entry(entry, intervals)
-                    ),
-                )
-            else:
-                report, outcome = await self._in_worker(
-                    lambda: self._analyse_entry(entry, intervals)
-                )
-                # The body is exactly the in-process serialisation —
-                # byte-identical to report_to_json of a local analysis of
-                # the same ranges.
-                item = ("ok", report_to_json(report).encode("utf-8"), outcome)
-        except Exception as exc:  # noqa: BLE001 - answered as a 500
-            item = ("err", _error_detail(exc))
+        if self._batchers is None:
+            item = (
+                "ok",
+                *await self._in_worker(
+                    self._call,
+                    _analyse_in_worker_process,
+                    entry.kernel_id,
+                    intervals,
+                    self._state,
+                ),
+            )
+            size, index = 1, 0
+        else:
+            item, size, index = await self._batchers[
+                entry.kernel_id
+            ].submit(intervals)
+        if info is not None:
+            info["stages"]["dispatch"] = time.perf_counter() - t_dispatch
+            info["batch_size"] = size
+            info["batch_index"] = index
         if item[0] != "ok":
             raise HttpError(500, item[1])
         _, body, outcome = item
         if info is not None:
             info["outcome"] = outcome
-            info["stages"].setdefault(
-                "dispatch", time.perf_counter() - t_dispatch
-            )
         return Response(
             body=body,
             headers={
@@ -860,13 +808,11 @@ class SignificanceService:
                 # "<batch size>/<lane index>": how many requests shared
                 # this response's replay sweep and which lane this one
                 # was.  "1/0" means it rode alone.
-                "X-Repro-Batch": batch_header,
+                "X-Repro-Batch": f"{size}/{index}",
             },
         )
 
     async def _handle_advise(self, request: Request) -> Response:
-        from repro.scorpio.advisor import render_advice, suggest_approximations
-
         payload = request.json()
         entry = self._entry(payload)
         intervals = self._intervals(payload, entry)
@@ -875,59 +821,13 @@ class SignificanceService:
             threshold, bool
         ):
             raise HttpError(400, "'threshold' must be a number")
-
-        if self._mp is not None:
-            # Like /analyse, the body runs in a pool worker (the worker
-            # analyses against its own cache and renders the advice
-            # there — the report object never crosses the pipe).
-            from repro.runtime.task import ExecutionMode, Task
-
-            def work():
-                task = Task(
-                    fn=_advise_in_worker_process,
-                    args=(
-                        entry.kernel_id,
-                        tuple(intervals),
-                        float(threshold),
-                        self.config.validate,
-                        self.config.store_dir,
-                    ),
-                    label="serve.advise",
-                )
-                [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-                return result.value
-
-            payload_out, outcome = await self._in_worker(work)
-            counter = _OUTCOME_COUNTER.get(outcome)
-            if counter is not None:
-                counter.inc()
-            return json_response(
-                payload_out, headers={"X-Repro-Cache": outcome}
-            )
-
-        def work():
-            report, outcome = self._analyse_entry(entry, intervals)
-            return suggest_approximations(report, float(threshold)), outcome
-
-        suggestions, outcome = await self._in_worker(work)
-        return json_response(
-            {
-                "kernel": entry.kernel_id,
-                "threshold": float(threshold),
-                "suggestions": [
-                    {
-                        "node_id": s.node_id,
-                        "op": s.op,
-                        "replacement": s.replacement,
-                        "significance": s.significance,
-                        "cost_saving": s.cost_saving,
-                        "score": s.score,
-                    }
-                    for s in suggestions
-                ],
-                "advice": render_advice(suggestions),
-            },
-            headers={"X-Repro-Cache": outcome},
+        return await self._in_worker(
+            self._call,
+            _advise_in_worker_process,
+            entry.kernel_id,
+            intervals,
+            threshold,
+            self._state,
         )
 
     async def _handle_tune(self, request: Request) -> Response:
@@ -947,37 +847,14 @@ class SignificanceService:
             not isinstance(size, int) or isinstance(size, bool) or size < 2
         ):
             raise HttpError(400, "'size' must be an integer >= 2")
-
-        if self._mp is not None:
-            # Ratio-search bodies follow the backend too: run the whole
-            # probe loop in a pool worker and relay its JSON payload.
-            from repro.runtime.task import ExecutionMode, Task
-
-            def work():
-                task = Task(
-                    fn=_tune_in_worker_process,
-                    args=(
-                        entry.kernel_id,
-                        size,
-                        None if target_quality is None else float(target_quality),
-                        None if energy_budget is None else float(energy_budget),
-                    ),
-                    label="serve.tune",
-                )
-                [result] = self._mp.run([task], [ExecutionMode.ACCURATE])
-                return result.value
-
-            return json_response(await self._in_worker(work))
-
-        def work():
-            return _tune_in_worker_process(
-                entry.kernel_id,
-                size,
-                None if target_quality is None else float(target_quality),
-                None if energy_budget is None else float(energy_budget),
-            )
-
-        return json_response(await self._in_worker(work))
+        return await self._in_worker(
+            self._call,
+            _tune_in_worker_process,
+            entry.kernel_id,
+            size,
+            target_quality,
+            energy_budget,
+        )
 
 
 class ServiceThread:

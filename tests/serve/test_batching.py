@@ -351,3 +351,26 @@ class TestKernelBatcher:
     def test_rejects_bad_max_batch(self):
         with pytest.raises(ValueError):
             KernelBatcher(max_batch=0, dispatch=None)
+
+
+class TestLoneFailure:
+    """A lone failing request runs its analysis once, batched or not."""
+
+    # The log of a negative range: the recording itself fails.
+    BAD = {
+        "kernel": "blackscholes",
+        "inputs": [[-1, 1], [90, 110], [0.01, 0.05], [0.1, 0.3], [0.5, 1.5]],
+    }
+
+    @pytest.mark.parametrize("max_batch", [1, 16])
+    def test_failed_cold_requests_record_once_each(self, max_batch):
+        config = ServiceConfig(port=0, max_batch=max_batch)
+        with ServiceThread(config=config) as service:
+            with service.client() as client:
+                for path in ("/analyse", "/advise"):
+                    status, _, _ = client.request_raw("POST", path, self.BAD)
+                    assert status == 500
+                client.analyse_raw("blackscholes")
+                stats = {k["id"]: k["cache"] for k in client.kernels()}
+        # Two failed recordings and one good one.
+        assert stats["blackscholes"]["records"] == 3
