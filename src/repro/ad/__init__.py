@@ -11,7 +11,7 @@ underneath :mod:`repro.scorpio`.
 
 from . import intrinsics
 from .adouble import ADouble, IntervalAdjoint
-from .compiled import CompiledTape, ReplayLanes
+from .compiled import CompiledTape, LaneWorkspace, ReplayLanes, lane_workspace
 from .replay import ForwardPlan, GuardDivergenceError, ReplayError
 from .hessian import hessian, hessian_vector_product
 from .derivatives import (
@@ -31,6 +31,8 @@ __all__ = [
     "Node",
     "CompiledTape",
     "ReplayLanes",
+    "LaneWorkspace",
+    "lane_workspace",
     "ForwardPlan",
     "ReplayError",
     "GuardDivergenceError",

@@ -12,7 +12,8 @@ engineered to be **bit-identical** to it, including the subtle parts:
 
 * the interval endpoint rule uses the same four products in the same
   order, with the same ``0·inf → NaN → 0`` cleanup and the same fold-left
-  min/max tie-breaking as :meth:`Interval.__mul__`;
+  min/max tie-breaking as :meth:`Interval.__mul__` (a plain min/max fold
+  when the bounds are rounded outward next, which gives the same bits);
 * outward rounding is one ``nextafter`` per bound per operation, applied
   at exactly the points the object sweep applies it (product and
   accumulation) through the array twins of ``math.nextafter``
@@ -20,7 +21,9 @@ engineered to be **bit-identical** to it, including the subtle parts:
   honours the global :func:`repro.intervals.rounding.rounding_enabled`
   flag at sweep time;
 * consumers with an exactly-zero adjoint are skipped (the object sweep's
-  ``_is_zero`` shortcut is bit-relevant under outward rounding);
+  ``_is_zero`` shortcut is bit-relevant under outward rounding); rounded
+  lane sweeps decide that per edge, since a rounded adjoint is live in
+  every lane or in none;
 * per-parent accumulation order matches the object sweep: contributions
   arrive in descending consumer index, and for one consumer in recorded
   parent order.
@@ -38,6 +41,8 @@ sees its contributions in exactly the object sweep's order.
 
 from __future__ import annotations
 
+import math
+import threading
 from itertools import chain
 from operator import attrgetter
 from typing import Any, Mapping, Sequence
@@ -52,7 +57,7 @@ from repro.obs.trace import span as _span
 from .replay import hull
 from .tape import Tape
 
-__all__ = ["CompiledTape", "ReplayLanes"]
+__all__ = ["CompiledTape", "LaneWorkspace", "ReplayLanes", "lane_workspace"]
 
 _C_COMPILES = _metrics.counter("ad.compiles")
 _C_SWEEPS = _metrics.counter("ad.compiled_sweeps")
@@ -615,7 +620,7 @@ class CompiledTape:
                 p1 = np.multiply(plo, salo, out=w1[:k2])
                 p2 = np.multiply(plo, sahi, out=w2[:k2])
                 if clean_nan:
-                    clo, chi = hull(p1, p2)
+                    clo, chi = hull(p1, p2, rounded=rnd)
                 else:
                     clo = np.minimum(p1, p2, out=w3[:k2])
                     chi = np.maximum(p1, p2, out=p2)
@@ -630,7 +635,7 @@ class CompiledTape:
             p3 = np.multiply(phi, salo, out=self._buf("sweep_w4" + bkey, (e, m))[:k2])
             p4 = np.multiply(phi, sahi, out=self._buf("sweep_w5" + bkey, (e, m))[:k2])
             if clean_nan:
-                clo, chi = hull(p1, p2, p3, p4)
+                clo, chi = hull(p1, p2, p3, p4, rounded=rnd)
             else:
                 # Tape.adjoint_vector's exact association order (in-place
                 # variants reuse the product buffers; results unchanged).
@@ -654,6 +659,8 @@ class CompiledTape:
         ahi: np.ndarray,
         partial_lo: np.ndarray,
         partial_hi: np.ndarray,
+        contrib_lo: np.ndarray,
+        contrib_hi: np.ndarray,
         *,
         rnd: bool,
         clean_nan: bool,
@@ -663,49 +670,45 @@ class CompiledTape:
 
         The lane-batched twin of :meth:`_sweep` used by replayed lanes:
         partials come from the replay's ``(e, L)`` arrays instead of the
-        recorded per-edge scalars, and the object sweep's zero-adjoint
-        shortcut is honoured **per lane** — a lane whose source adjoint is
-        exactly zero must contribute nothing to its parents, even though
-        other lanes of the same edge do (bit-relevant under rounding, and
-        it also stops NaN pollution when ``clean_nan`` is off).  Edges
-        whose partial is one point constant in every lane (see
+        recorded per-edge scalars.  ``contrib_lo`` / ``contrib_hi`` are
+        the ``(e, L[, m])`` contribution rows, supplied by the caller;
+        their contents are dead on entry and on return.  Edges whose
+        partial is one point constant in every lane (see
         :meth:`_lane_schedule`) take :meth:`_sweep`'s two-product rule.
-        The contribution arrays live for one call only.
+
+        The object sweep skips consumers whose adjoint is exactly zero.
+        Rounded sweeps (scalar seed, ``(n, L)``) decide that per edge, as
+        :meth:`_sweep` does, from lane 0: outward rounding keeps every
+        adjoint that received a contribution nonzero (``down(x) < x <= y
+        < up(y)``), so a node is live in every lane or in none.  Unrounded
+        sweeps decide it per lane, zeroing the contributions of lanes
+        whose source adjoint is zero (bit-relevant, and it also stops NaN
+        pollution when ``clean_nan`` is off).
         """
         e = self.n_edges
-        if e == 0:
+        if e == 0 or alo.shape[1] == 0:
             return
         edge_src = self._edge_src
         edge_dst = self.parent_idx
-        L = alo.shape[1]
         vector = alo.ndim == 3
-        contrib_lo = np.empty((e,) + alo.shape[1:], dtype=np.float64)
-        contrib_hi = np.empty_like(contrib_lo)
-        lane_act = np.empty((e, L), dtype=bool)
+        live = np.zeros(e, dtype=bool)
 
         for level, (sel, kp, consts) in enumerate(self._lane_schedule()):
             if rnd:
                 # Rank steps keep destinations distinct, so each step is a
-                # plain gather / add / round / scatter; lanes whose source
-                # adjoint was zero keep their running bound.
+                # plain gather / add / round / scatter over its live edges.
                 for step in self._rank_steps(level):
+                    step = step[live[step]]
+                    if not step.size:
+                        continue
                     dst = edge_dst[step]
-                    keep = lane_act[step]
-                    masked = not keep.all()
-                    if masked and vector:
-                        keep = keep[:, :, None]
                     for acc, contrib, rounder in (
                         (alo, contrib_lo, down_array),
                         (ahi, contrib_hi, up_array),
                     ):
-                        cur = acc[dst]
                         new = contrib[step]
-                        np.add(cur, new, out=new)
-                        rounder(new, out=new)
-                        if masked:
-                            np.copyto(cur, new, where=keep)
-                            new = cur
-                        acc[dst] = new
+                        np.add(acc[dst], new, out=new)
+                        acc[dst] = rounder(new, out=new)
             else:
                 # Inactive-lane contributions were zeroed at emit, and
                 # adding 0.0 never flips a bound's bits (the running
@@ -719,13 +722,24 @@ class CompiledTape:
 
             if not sel.size:
                 continue
+            act = None
+            if rnd:
+                src = edge_src[sel]
+                edge_act = (alo[src, 0] != 0.0) | (ahi[src, 0] != 0.0)
+                live[sel] = edge_act
+                if not edge_act.all():
+                    consts = consts[edge_act[:kp]]
+                    kp = consts.shape[0]
+                    sel = sel[edge_act]
+                    if not sel.size:
+                        continue
             src = edge_src[sel]
             salo = alo[src]
             sahi = ahi[src]
-            act = (salo != 0.0) | (sahi != 0.0)
-            if vector:
-                act = act.any(axis=2)
-            lane_act[sel] = act
+            if not rnd:
+                act = (salo != 0.0) | (sahi != 0.0)
+                if vector:
+                    act = act.any(axis=2)
             # The gathered adjoint rows are this call's own temporaries,
             # so the products overwrite them once nothing else reads them.
             if kp:
@@ -733,7 +747,8 @@ class CompiledTape:
                 p1 = np.multiply(c, salo[:kp], out=salo[:kp])
                 p2 = np.multiply(c, sahi[:kp], out=sahi[:kp])
                 self._store_lanes(
-                    contrib_lo, contrib_hi, sel[:kp], act[:kp],
+                    contrib_lo, contrib_hi, sel[:kp],
+                    None if act is None else act[:kp],
                     p1, p2, rnd=rnd, clean_nan=clean_nan,
                 )
             if kp < sel.size:
@@ -749,7 +764,8 @@ class CompiledTape:
                 p3 = np.multiply(phi, sl, out=sl)
                 p4 = np.multiply(phi, sh, out=sh)
                 self._store_lanes(
-                    contrib_lo, contrib_hi, rest, act[kp:],
+                    contrib_lo, contrib_hi, rest,
+                    None if act is None else act[kp:],
                     p1, p2, p3, p4, rnd=rnd, clean_nan=clean_nan,
                 )
 
@@ -762,10 +778,11 @@ class CompiledTape:
         Two products are :meth:`_sweep`'s point-partial rule: the other
         two of ``Interval.__mul__`` repeat them bit for bit, and the
         keep-first fold never picks a repeat.  Unrounded sweeps zero the
-        contributions of lanes whose source adjoint is zero.
+        contributions of lanes whose source adjoint is zero (``act``
+        False); rounded sweeps pass only live edges and no ``act``.
         """
         if clean_nan:
-            lo, hi = hull(*products)
+            lo, hi = hull(*products, rounded=rnd)
         else:
             # Tape.adjoint_vector's exact association order.
             p1, p2, *rest = products
@@ -897,6 +914,7 @@ class CompiledTape:
         inputs_hi: np.ndarray,
         *,
         check_guards: bool = True,
+        workspace: "LaneWorkspace | None" = None,
     ) -> "ReplayLanes":
         """Replay the trace on ``(n_inputs, L)`` batched input bounds.
 
@@ -905,6 +923,12 @@ class CompiledTape:
         whose per-lane results are bit-identical to replaying (and hence
         recording) each lane on its own.  The compiled tape itself is not
         modified.
+
+        With a ``workspace`` (see :func:`lane_workspace`) the forward
+        bounds and partials live in it, and the returned lanes take their
+        adjoint bounds, contribution rows and Eq. 11 products from it too.
+        Those arrays are valid until the next call that uses the same
+        workspace.  Without one, every array is fresh.
         """
         from .replay import check_guards as _check
 
@@ -922,12 +946,17 @@ class CompiledTape:
                 f"got {inputs_lo.shape[0]}"
             )
         L = inputs_lo.shape[1]
-        # Broadcast the recorded columns across lanes: constants keep
-        # their values, everything else is overwritten by the sweep.
-        vlo = np.repeat(self.value_lo[:, None], L, axis=1)
-        vhi = np.repeat(self.value_hi[:, None], L, axis=1)
-        plo = np.repeat(self.partial_lo[:, None], L, axis=1)
-        phi = np.repeat(self.partial_hi[:, None], L, axis=1)
+        # The sweep writes every other row; the rows it keeps (inputs,
+        # recorded constants) get the recorded columns across lanes.
+        vlo, vhi = _lane_pair(workspace, "value", (self.n, L))
+        plo, phi = _lane_pair(workspace, "partial", (self.n_edges, L))
+        for dst, src, rows in (
+            (vlo, self.value_lo, plan.kept_nodes),
+            (vhi, self.value_hi, plan.kept_nodes),
+            (plo, self.partial_lo, plan.kept_edges),
+            (phi, self.partial_hi, plan.kept_edges),
+        ):
+            dst[rows] = src[rows, None]
         vlo[input_nodes] = inputs_lo
         vhi[input_nodes] = inputs_hi
         _C_FORWARD_LANES.inc()
@@ -936,7 +965,7 @@ class CompiledTape:
             plan.run(vlo, vhi, plo, phi, rounding_enabled())
             if check_guards:
                 _check(self.tape.guards, vlo, vhi)
-        return ReplayLanes(self, vlo, vhi, plo, phi)
+        return ReplayLanes(self, vlo, vhi, plo, phi, workspace)
 
     # ------------------------------------------------------------------
     # Convenience views
@@ -960,14 +989,18 @@ class ReplayLanes:
     object tape.
     """
 
-    __slots__ = ("ct", "value_lo", "value_hi", "partial_lo", "partial_hi")
+    __slots__ = (
+        "ct", "value_lo", "value_hi", "partial_lo", "partial_hi", "workspace"
+    )
 
-    def __init__(self, ct, vlo, vhi, plo, phi):
+    def __init__(self, ct, vlo, vhi, plo, phi, workspace=None):
         self.ct = ct
         self.value_lo = vlo
         self.value_hi = vhi
         self.partial_lo = plo
         self.partial_hi = phi
+        # The LaneWorkspace the arrays came from (None: all fresh).
+        self.workspace = workspace
 
     @property
     def n_lanes(self) -> int:
@@ -986,14 +1019,16 @@ class ReplayLanes:
         """Lane-batched Eq. 7–9 sweep; per lane bit-identical to
         ``Tape.adjoint`` on that lane's recording.
 
-        Returns ``(lo, hi)`` arrays of shape ``(n, L)``.
+        Returns ``(lo, hi)`` arrays of shape ``(n, L)``, in the workspace
+        when the lanes have one.
         """
         if not seeds:
             raise ValueError("adjoint sweep needs at least one seeded output")
         n, L = self.value_lo.shape
         rnd = rounding_enabled()
-        alo = np.zeros((n, L), dtype=np.float64)
-        ahi = np.zeros((n, L), dtype=np.float64)
+        alo, ahi = _lane_pair(self.workspace, "adjoint", (n, L))
+        alo.fill(0.0)
+        ahi.fill(0.0)
         for index, seed in seeds.items():
             if not (0 <= index < n):
                 raise IndexError(f"seed index {index} outside tape")
@@ -1009,7 +1044,13 @@ class ReplayLanes:
             alo[index] = new_lo
             ahi[index] = new_hi
         self.ct._sweep_lanes(
-            alo, ahi, self.partial_lo, self.partial_hi, rnd=rnd, clean_nan=True
+            alo,
+            ahi,
+            self.partial_lo,
+            self.partial_hi,
+            *_lane_pair(self.workspace, "contrib", (self.ct.n_edges, L)),
+            rnd=rnd,
+            clean_nan=True,
         )
         return alo, ahi
 
@@ -1033,9 +1074,71 @@ class ReplayLanes:
             lo[idx, :, j] += 1.0
             hi[idx, :, j] += 1.0
         self.ct._sweep_lanes(
-            lo, hi, self.partial_lo, self.partial_hi, rnd=False, clean_nan=False
+            lo,
+            hi,
+            self.partial_lo,
+            self.partial_hi,
+            *_lane_pair(None, "contrib", (self.ct.n_edges, L, m)),
+            rnd=False,
+            clean_nan=False,
         )
         return lo, hi
+
+
+class LaneWorkspace:
+    """Lane-sized arrays one thread's lane replays reuse across calls.
+
+    Every role (``"value"``, ``"partial"``, ``"adjoint"``, ``"contrib"``)
+    keeps one flat float64 buffer that grows to the largest call and is
+    reused after that, so warm replays fault in no fresh pages for them.
+    An array taken for a role is valid until the next take of that role.
+    A workspace is for one thread at a time: use :func:`lane_workspace`.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, role: str, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised float64 array of ``shape`` for ``role``."""
+        size = math.prod(shape)
+        buf = self._buffers.get(role)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=np.float64)
+            self._buffers[role] = buf
+        return buf[:size].reshape(shape)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes the workspace holds."""
+        return sum(buf.nbytes for buf in self._buffers.values())
+
+
+_LOCAL = threading.local()
+
+
+def lane_workspace() -> LaneWorkspace:
+    """The calling thread's :class:`LaneWorkspace`, made on first use.
+
+    It lives as long as the thread and holds the arrays of the largest
+    lane replay the thread has run.
+    """
+    workspace = getattr(_LOCAL, "workspace", None)
+    if workspace is None:
+        workspace = _LOCAL.workspace = LaneWorkspace()
+    return workspace
+
+
+def _lane_pair(
+    workspace: LaneWorkspace | None, role: str, shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """A lo/hi pair of ``shape`` arrays: ``role``'s in ``workspace``, or
+    two fresh ones."""
+    if workspace is None:
+        return np.empty(shape), np.empty(shape)
+    lo, hi = workspace.take(role, (2, *shape))
+    return lo, hi
 
 
 class _AuxNode:

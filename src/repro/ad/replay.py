@@ -29,9 +29,13 @@ same program on the object tape.  That constraint drives every rule here:
   in :mod:`repro.intervals.functions`;
 * ``min``/``max`` tie-breaking follows Python's fold-left keep-first
   semantics (strict compares with ``np.where`` or, in :func:`hull`,
-  ``np.copyto``; never ``np.minimum``), integer powers go through
-  per-element ``float.__pow__``, and every outward-rounding point
-  of the object evaluation is replicated (including the double rounding in
+  ``np.copyto``).  Where the result is rounded outward next, :func:`hull`
+  folds with ``np.minimum``/``np.maximum`` instead: the only ties
+  keep-first decides, ``+0`` against ``-0``, round to the same bits;
+* squares (``sqr``, ``x ** 2``, the squares inside partials) are IEEE
+  products, as in ``Interval._int_pow``; other integer powers go through
+  per-element ``float.__pow__``.  Every outward-rounding point of the
+  object evaluation is replicated (including the double rounding in
   interval division's reciprocal-then-multiply composition);
 * local partials are recomputed as the exact interval-arithmetic
   compositions the intrinsic partial lambdas evaluate during recording
@@ -62,6 +66,7 @@ import numpy as np
 
 from repro.intervals import Interval, as_interval
 from repro.intervals import functions as ifn
+from repro.intervals.interval import square_overflow
 from repro.intervals.rounding import down_array, up_array
 from repro.obs import metrics as _metrics
 
@@ -141,18 +146,47 @@ def _upr(x: np.ndarray, rnd: bool) -> np.ndarray:
     return up_array(x, out=x) if rnd else x
 
 
-def hull(p1: np.ndarray, *rest: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def hull(
+    p1: np.ndarray,
+    *rest: np.ndarray,
+    rounded: bool = False,
+    out: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
     """``Interval.__mul__``'s bound rule over endpoint products, in place.
 
     NaN products (``0·inf``) become 0, then Python's fold-left ``min`` /
     ``max`` over ``p1, *rest`` in order: a later product replaces the
     running bound only when strictly smaller (larger), so ties keep the
-    earlier product's bits.  ``p1`` becomes the lower bound; every
-    product must be a fresh array the caller owns.  Returns ``(lo, hi)``.
+    earlier product's bits.  Every product must be an array the caller
+    owns.  Returns ``(lo, hi)``: ``lo`` is ``p1``, ``hi`` is ``out`` (a
+    new array when None).
+
+    ``rounded=True`` says the caller rounds both bounds outward next.
+    The only ties keep-first decides are ``+0`` against ``-0``, and both
+    round to the same ``∓tiny``, so the fold is plain ``np.minimum`` /
+    ``np.maximum``.  NaN propagates through both, so one check of the
+    max fold finds any ``0·inf``; only then are the products cleaned
+    and folded again.
     """
+    if out is None:
+        out = np.empty_like(p1)
+    if rounded:
+        hi = np.maximum(p1, rest[0], out=out)
+        for p in rest[1:]:
+            np.maximum(hi, p, out=hi)
+        if hi.size and np.isnan(hi.max()):
+            for p in (p1, *rest):
+                np.copyto(p, 0.0, where=np.isnan(p))
+            np.maximum(p1, rest[0], out=hi)
+            for p in rest[1:]:
+                np.maximum(hi, p, out=hi)
+        for p in rest:
+            np.minimum(p1, p, out=p1)
+        return p1, hi
     for p in (p1, *rest):
         np.copyto(p, 0.0, where=np.isnan(p))
-    hi = p1.copy()
+    hi = out
+    np.copyto(hi, p1)
     for p in rest:
         np.copyto(hi, p, where=p > hi)
     for p in rest:
@@ -185,6 +219,7 @@ def _imul(alo, ahi, blo, bhi, rnd):
         np.asarray(alo * bhi),
         np.asarray(ahi * blo),
         np.asarray(ahi * bhi),
+        rounded=rnd,
     )
     return _dnr(lo, rnd), _upr(hi, rnd)
 
@@ -203,19 +238,36 @@ def _idiv(alo, ahi, blo, bhi, rnd, what: str):
 
 
 def _pow_elem(alo, ahi, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element ``x ** n`` of both endpoint arrays in one pass.
+    """``x ** n`` of both endpoint arrays, as ``Interval._int_pow`` does.
 
-    NumPy's pow is not bit-guaranteed, so each element goes through the
-    builtin ``pow(x, float(n))``: CPython converts an int exponent to a
-    float before calling libm ``pow``, so this is the very call (and the
-    very exceptions) of ``x ** n`` in the object engine.
+    Squares are IEEE products, which round correctly; a finite element
+    whose square overflows raises ``OverflowError`` like the object
+    engine.  Other exponents go element by element through the builtin
+    ``pow(x, float(n))``: NumPy's pow is not bit-guaranteed, and CPython
+    converts an int exponent to a float before calling libm ``pow``, so
+    this is the very call (and the very exceptions) of ``x ** n`` in the
+    object engine.
     """
+    if n == 2:
+        return square_array(alo), square_array(ahi)
     both = np.concatenate((np.ravel(alo), np.ravel(ahi)))
     out = np.fromiter(
         map(pow, both.tolist(), repeat(float(n))), np.float64, both.size
     )
     half = both.size // 2
     return out[:half].reshape(np.shape(alo)), out[half:].reshape(np.shape(ahi))
+
+
+def square_array(x: np.ndarray) -> np.ndarray:
+    """``x * x`` elementwise, raising where ``x ** 2`` would on an element
+    (see :func:`repro.intervals.interval.square_overflow`)."""
+    sq = np.multiply(x, x)
+    # A square is never negative, so only a non-finite maximum can hide an
+    # overflow (NaN propagates through ``max``).
+    if sq.size and not np.isfinite(sq.max()):
+        if (np.isinf(sq) & np.isfinite(x)).any():
+            raise square_overflow()
+    return sq
 
 
 def _ipown(alo, ahi, n: int, rnd, what: str = "pow"):
@@ -386,6 +438,10 @@ class ForwardPlan:
     partial is one point constant in every lane, with that constant
     (see :func:`_point_partials`); the lane adjoint sweep multiplies by
     them directly instead of gathering their partial rows.
+
+    ``kept_nodes`` / ``kept_edges`` are the value and partial rows no
+    step writes (inputs, recorded constants): a replay into fresh arrays
+    fills only those from the recording.
     """
 
     def __init__(self, ct):
@@ -503,6 +559,15 @@ class ForwardPlan:
             steps.append((key, _Step(idx, e0, p0, p1, c_lo, c_hi)))
         self._steps = steps
         self.point_edges, self.point_values = _point_partials(steps)
+        node_written = np.zeros(n, dtype=bool)
+        edge_written = np.zeros(ct.n_edges, dtype=bool)
+        for key, st in steps:
+            node_written[st.idx] = True
+            edge_written[st.e0] = True
+            if key[0] == "bin2":
+                edge_written[st.e0 + 1] = True
+        self.kept_nodes = np.flatnonzero(~node_written)
+        self.kept_edges = np.flatnonzero(~edge_written)
 
     # ------------------------------------------------------------------
     # Execution

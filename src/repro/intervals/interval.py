@@ -21,7 +21,9 @@ caller can report the offending condition (or split the interval, see
 
 from __future__ import annotations
 
+import errno
 import math
+import os
 from typing import Iterator, Union
 
 from . import rounding as _rnd
@@ -54,6 +56,25 @@ class AmbiguousComparisonError(ValueError):
 
 class EmptyIntervalError(ValueError):
     """Raised when an operation would produce an empty interval."""
+
+
+def square_overflow() -> OverflowError:
+    """The error ``x ** 2`` raises when a finite ``x`` squares past the
+    largest double (CPython reports libm ``pow``'s ``ERANGE``).
+
+    Squares are IEEE products here, which overflow to ``inf`` silently;
+    every engine raises this instead, so both engines fail where
+    ``x ** 2`` does.
+    """
+    return OverflowError(errno.ERANGE, os.strerror(errno.ERANGE))
+
+
+def square(x: float) -> float:
+    """``x * x``, raising where ``x ** 2`` does (see :func:`square_overflow`)."""
+    sq = x * x
+    if sq == math.inf and x - x == 0.0:
+        raise square_overflow()
+    return sq
 
 
 def _validate(lo: float, hi: float) -> tuple[float, float]:
@@ -288,7 +309,11 @@ class Interval:
             return Interval(1.0, 1.0)
         if n < 0:
             return Interval(1.0, 1.0) / self._int_pow(-n)
-        lo_p, hi_p = self.lo**n, self.hi**n
+        if n == 2:
+            # IEEE rounds a product correctly; libm ``pow`` does not.
+            lo_p, hi_p = square(self.lo), square(self.hi)
+        else:
+            lo_p, hi_p = self.lo**n, self.hi**n
         if n % 2 == 1:
             lo, hi = lo_p, hi_p
         elif self.lo >= 0:

@@ -21,6 +21,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.ad.compiled import lane_workspace
 from repro.runtime import EnergyBreakdown, GroupStats
 
 __all__ = [
@@ -79,7 +80,9 @@ def replay_lane_significances(
     (or a :class:`~repro.mp.ProcessExecutor`) chunks the lanes across
     ``workers`` processes (:func:`repro.mp.parallel_lane_significances`,
     chunks rounded to multiples of ``align`` lanes); any other value runs
-    the sequential replay.  Both paths return the same bytes.
+    the sequential replay, in this thread's lane workspace
+    (:func:`repro.ad.compiled.lane_workspace`).  Both paths return the
+    same bytes.
     """
     if executor is not None:
         from repro.mp import parallel_lane_significances, process_requested
@@ -96,5 +99,6 @@ def replay_lane_significances(
                 executor=None if isinstance(executor, str) else executor,
             )
     return trace.lane_significances(
-        trace.forward_lanes(lanes_lo, lanes_hi), rows=rows
+        trace.forward_lanes(lanes_lo, lanes_hi, workspace=lane_workspace()),
+        rows=rows,
     )

@@ -28,7 +28,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.ad.compiled import CompiledTape
+from repro.ad.compiled import CompiledTape, lane_workspace
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _obs_span
 from repro.runtime.task import ExecutionMode, Task
@@ -89,7 +89,9 @@ def _sig_chunk(
     with _obs_span("mp.sig_chunk") as sp:
         sp.set(start=start, stop=stop, nodes=ct.n)
         lanes = ct.forward_lanes(
-            in_lo.view()[:, start:stop], in_hi.view()[:, start:stop]
+            in_lo.view()[:, start:stop],
+            in_hi.view()[:, start:stop],
+            workspace=lane_workspace(),
         )
         out.view()[:, start:stop] = lane_eq11(lanes, output_id, rows=rows)
     return stop - start
@@ -239,7 +241,9 @@ def parallel_lane_significances(
     if n_workers <= 1 or L < min_parallel_lanes:
         from repro.scorpio.compiled import lane_eq11
 
-        lanes = ct.forward_lanes(inputs_lo, inputs_hi)
+        lanes = ct.forward_lanes(
+            inputs_lo, inputs_hi, workspace=lane_workspace()
+        )
         return lane_eq11(lanes, output_ids[0], rows=rows)
 
     chunks = lane_chunks(L, n_workers, chunk_lanes=chunk_lanes, align=align)

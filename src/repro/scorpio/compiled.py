@@ -35,8 +35,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.ad.compiled import CompiledTape, _csr_gather
-from repro.ad.replay import hull
+from repro.ad.compiled import CompiledTape, LaneWorkspace, _csr_gather
+from repro.ad.replay import hull, square_array
 from repro.ad.tape import Tape
 from repro.intervals import Interval
 from repro.intervals.rounding import down_array, rounding_enabled, up_array
@@ -46,7 +46,7 @@ from repro.obs.trace import span as _obs_span
 from .dyndfg import DFGNode, DynDFG
 from .report import SignificanceReport
 from .simplify import AGGREGATE_OPS
-from .variance import VarianceScan
+from .variance import VarianceScan, squared_deviations
 
 __all__ = [
     "LaneScanMap",
@@ -81,6 +81,7 @@ def eq11_from_sweep(
     *,
     interval_mode: bool = True,
     rows: Sequence[int] | np.ndarray | None = None,
+    workspace: LaneWorkspace | None = None,
 ) -> np.ndarray:
     """``S_y(uj) = w([uj]·∇[uj][y])`` for every node, in one expression.
 
@@ -95,21 +96,42 @@ def eq11_from_sweep(
     ``rows`` restricts the work to those node rows (any order, repeats
     allowed): the result is ``(len(rows), ...)``, row ``k`` holding node
     ``rows[k]``.  Every step is elementwise, so each row keeps the bits
-    it has in the full result.
+    it has in the full result.  With a ``workspace`` the gathered rows
+    and the products live in its ``"contrib"`` role (dead once an
+    adjoint sweep has returned); only the result is a new array.
     """
     if rows is not None:
         rows = np.asarray(rows, dtype=np.intp)
-        value_lo, value_hi = value_lo[rows], value_hi[rows]
-        adj_lo, adj_hi = adj_lo[rows], adj_hi[rows]
+        n = value_lo.shape[0]
+        if rows.size and (rows.min() < -n or rows.max() >= n):
+            raise IndexError(f"rows index outside the {n} nodes")
     if not interval_mode:
+        if rows is not None:
+            value_lo, adj_lo = value_lo[rows], adj_lo[rows]
         return np.abs(value_lo * adj_lo)
-    lo, hi = hull(
-        value_lo * adj_lo,
-        value_lo * adj_hi,
-        value_hi * adj_lo,
-        value_hi * adj_hi,
-    )
-    if rounding_enabled():
+    rnd = rounding_enabled()
+    shape = value_lo.shape if rows is None else rows.shape + value_lo.shape[1:]
+    if workspace is None:
+        p1, p2, p3, p4 = np.empty((4, *shape))
+    else:
+        p1, p2, p3, p4 = workspace.take("contrib", (4, *shape))
+    out = np.empty(shape)
+    if rows is None:
+        vl, vh, al, ah = value_lo, value_hi, adj_lo, adj_hi
+    else:
+        # Gather into the product buffers, each row block overwritten by
+        # a product once its last reader has run; ``out`` holds the
+        # value upper bounds until the fold needs it.
+        vl = value_lo.take(rows, axis=0, out=p2, mode="wrap")
+        al = adj_lo.take(rows, axis=0, out=p3, mode="wrap")
+        ah = adj_hi.take(rows, axis=0, out=p4, mode="wrap")
+        vh = value_hi.take(rows, axis=0, out=out, mode="wrap")
+    np.multiply(vl, al, out=p1)
+    np.multiply(vl, ah, out=p2)
+    np.multiply(vh, al, out=p3)
+    np.multiply(vh, ah, out=p4)
+    lo, hi = hull(p1, p2, p3, p4, rounded=rnd, out=out)
+    if rnd:
         down_array(lo, out=lo)
         up_array(hi, out=hi)
     return np.subtract(hi, lo, out=hi)
@@ -130,7 +152,8 @@ def lane_eq11(
     ``l`` is bit-identical to a scalar analysis of lane ``l``.  This is
     the one lane core: :meth:`repro.scorpio.CachedTrace.lane_significances`
     and the process fan-out's chunks (:mod:`repro.mp.drivers`) both run
-    it.
+    it.  Lanes replayed on a workspace run the adjoint and Eq. 11 in it
+    too; the returned matrix is always a new array.
     """
     alo, ahi = lanes.adjoint({output_id: 1.0})
     return eq11_from_sweep(
@@ -140,6 +163,7 @@ def lane_eq11(
         ahi,
         interval_mode=lanes.ct.interval_mode,
         rows=rows,
+        workspace=lanes.workspace,
     )
 
 
@@ -382,7 +406,7 @@ def scan_grouped(
             var = 0.0
         else:
             mean = sum(sigs) / len(sigs)
-            var = sum((s - mean) ** 2 for s in sigs) / len(sigs)
+            var = squared_deviations(sigs, mean) / len(sigs)
         variances[level] = var
         if var > delta:
             return level, variances
@@ -471,8 +495,13 @@ def _scan_columns(
                 total += row
             mean = total / len(ids)
             sq = np.zeros(active.size)
-            for row in block:
-                sq += _square(row - mean)
+            with np.errstate(over="ignore"):
+                for row in block:
+                    d = np.subtract(row, mean, out=row)
+                    sq += np.multiply(d, d, out=d)
+                if not np.isfinite(sq).all():
+                    # Raises where a deviation's ``d ** 2`` would.
+                    square_array(sig[np.ix_(at, active)] - mean)
             var = sq / len(ids)
         full = np.full(lanes, np.nan)
         full[active] = var
@@ -485,21 +514,6 @@ def _scan_columns(
         found_level=found.reshape(lane_shape),
         variances=variances,
         delta=delta,
-    )
-
-
-def _square(diff: np.ndarray) -> np.ndarray:
-    """``diff ** 2`` elementwise through Python's ``float.__pow__``.
-
-    Keeps every variance bit-identical to the scalar scan's
-    ``(s - mean) ** 2`` chain: libm ``pow`` differs from a plain multiply
-    by 1 ulp on ~0.1% of inputs, which could flip a found level when a
-    variance lands within 1 ulp of ``delta``.
-    """
-    return np.fromiter(
-        (x ** 2 for x in diff.tolist()),
-        dtype=np.float64,
-        count=diff.size,
     )
 
 

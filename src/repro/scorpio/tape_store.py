@@ -59,8 +59,10 @@ from repro.obs import metrics as _obs_metrics
 
 __all__ = ["TapeStore", "STORE_VERSION", "store_key_digest"]
 
-#: Bump when the on-disk layout changes; older files become misses.
-STORE_VERSION = 1
+#: Bump when the on-disk layout changes, or when recording would store
+#: different bounds; older files become misses.  2: squares are IEEE
+#: products, no longer libm ``pow``.
+STORE_VERSION = 2
 
 _C_SAVES = _obs_metrics.counter("tape_store.saves")
 _C_LOADS = _obs_metrics.counter("tape_store.loads")

@@ -320,11 +320,12 @@ class CachedTrace:
                 return idx
         raise KeyError(f"no node labelled {label!r} in the cached trace")
 
-    def forward_lanes(self, inputs_lo, inputs_hi):
+    def forward_lanes(self, inputs_lo, inputs_hi, *, workspace=None):
         """Replay ``(n_inputs, L)`` lane bounds over the trace; returns a
         :class:`repro.ad.compiled.ReplayLanes` (lane ``l`` bit-identical
-        to recording on lane ``l``'s inputs)."""
-        return self.ct.forward_lanes(inputs_lo, inputs_hi)
+        to recording on lane ``l``'s inputs).  ``workspace`` is passed to
+        :meth:`CompiledTape.forward_lanes`."""
+        return self.ct.forward_lanes(inputs_lo, inputs_hi, workspace=workspace)
 
     def lane_significances(self, lanes, rows=None) -> "Any":
         """Eq. 11 significance matrix over replayed lanes.

@@ -13,11 +13,29 @@ graph is returned with ``found_level = None``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+from repro.intervals.interval import square
 
 from .dyndfg import DynDFG
 
 __all__ = ["VarianceScan", "level_variance", "find_significance_variance"]
+
+
+def squared_deviations(values: Sequence[float], mean: float) -> float:
+    """``sum((v - mean) ** 2 for v in values)`` with IEEE-product squares.
+
+    ``d * d`` is correctly rounded and libm's ``pow(d, 2)`` is not.  A
+    finite deviation whose square overflows raises ``OverflowError``, as
+    ``d ** 2`` does; only a non-finite total needs that check.
+    """
+    total = sum((v - mean) * (v - mean) for v in values)
+    if not math.isfinite(total):
+        for v in values:
+            square(v - mean)
+    return total
 
 
 def level_variance(graph: DynDFG, level: int) -> float:
@@ -34,7 +52,7 @@ def level_variance(graph: DynDFG, level: int) -> float:
     if len(sigs) < 2:
         return 0.0
     mean = sum(sigs) / len(sigs)
-    return sum((s - mean) ** 2 for s in sigs) / len(sigs)
+    return squared_deviations(sigs, mean) / len(sigs)
 
 
 @dataclass

@@ -107,10 +107,11 @@ class ServiceConfig:
     # and serves its very first request per kernel as a replay.
     store_dir: str | None = None
     # Span recording for the service's lifetime.  The service enables the
-    # process-global obs tracing flag on construction and restores the
-    # previous value on close(), so embedding a service (tests, examples)
-    # never leaks the flag.  The flight recorder below is independent of
-    # this and always on.
+    # process-global obs tracing flag on construction; the last such
+    # service to close() restores the value the first one found, in any
+    # close order, so embedding services (tests, examples) never leaks
+    # the flag.  The flight recorder below is independent of this and
+    # always on.
     tracing: bool = True
     # Per-request flight recorder: ring size of retained request
     # summaries served at GET /debug/requests and /debug/trace/<id>.
@@ -155,6 +156,42 @@ _REQ_INFO: ContextVar["dict[str, Any] | None"] = ContextVar(
 def _request_info() -> "dict[str, Any] | None":
     """The in-flight request's flight-record scratch dict (or None)."""
     return _REQ_INFO.get()
+
+
+class _TracingHolds:
+    """The services that turned span recording on, counted under a lock.
+
+    The first to start remembers the caller's flag and the last to close
+    restores it, so services may close in any order without leaving the
+    process-global flag on.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._count = 0
+        self._saved = False
+
+    def acquire(self) -> None:
+        with self._lock:
+            previous = obs_trace.set_enabled(True)
+            if self._count == 0:
+                self._saved = previous
+            self._count += 1
+
+    def release(self) -> None:
+        with self._lock:
+            self._count -= 1
+            if self._count == 0:
+                obs_trace.set_enabled(self._saved)
+
+
+_TRACING_HOLDS = _TracingHolds()
+
+
+def _require_number(name: str, value: Any) -> None:
+    """400 unless ``value`` is a JSON number (``true``/``false`` are not)."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise HttpError(400, f"'{name}' must be a number")
 
 
 def _error_detail(exc: BaseException) -> str:
@@ -488,10 +525,11 @@ class SignificanceService:
         # Last: turn on span recording for the service's lifetime (the
         # pool, if any, was warmed above, so fork-started workers do not
         # inherit the flag — _worker_run carries it per task instead).
-        # close() restores the caller's flag.
-        self._prev_tracing: "bool | None" = None
+        # The last service to close restores the caller's flag.
+        self._holds_tracing = False
         if self.config.tracing:
-            self._prev_tracing = obs_trace.set_enabled(True)
+            _TRACING_HOLDS.acquire()
+            self._holds_tracing = True
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -511,9 +549,9 @@ class SignificanceService:
         self._executor.shutdown(wait=False)
         if self._mp is not None:
             self._mp.close()
-        if self._prev_tracing is not None:
-            obs_trace.set_enabled(self._prev_tracing)
-            self._prev_tracing = None
+        if self._holds_tracing:
+            self._holds_tracing = False
+            _TRACING_HOLDS.release()
 
     # ------------------------------------------------------------------
     # Routing
@@ -817,11 +855,11 @@ class SignificanceService:
         entry = self._entry(payload)
         intervals = self._intervals(payload, entry)
         threshold = payload.get("threshold", 0.25)
-        if not isinstance(threshold, (int, float)) or isinstance(
-            threshold, bool
-        ):
-            raise HttpError(400, "'threshold' must be a number")
-        return await self._in_worker(
+        _require_number("threshold", threshold)
+        info = _request_info()
+        if info is not None:
+            info["kernel"] = entry.kernel_id
+        response = await self._in_worker(
             self._call,
             _advise_in_worker_process,
             entry.kernel_id,
@@ -829,6 +867,9 @@ class SignificanceService:
             threshold,
             self._state,
         )
+        if info is not None:
+            info["outcome"] = response.headers.get("X-Repro-Cache", "")
+        return response
 
     async def _handle_tune(self, request: Request) -> Response:
         payload = request.json()
@@ -842,6 +883,13 @@ class SignificanceService:
                 "meeting a quality floor) or 'energy_budget' (best "
                 "quality within a budget)",
             )
+        if target_quality is not None:
+            _require_number("target_quality", target_quality)
+        else:
+            _require_number("energy_budget", energy_budget)
+        info = _request_info()
+        if info is not None:
+            info["kernel"] = entry.kernel_id
         size = payload.get("size")
         if size is not None and (
             not isinstance(size, int) or isinstance(size, bool) or size < 2

@@ -143,6 +143,108 @@ def test_forward_lanes_integer_path_bitwise(
     assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
 
 
+def on_paths_to(ct, out):
+    """Boolean mask of the nodes with a path to ``out`` (``out`` included)."""
+    live = np.zeros(ct.n, dtype=bool)
+    live[out] = True
+    for j in range(out, -1, -1):
+        if live[j]:
+            live[ct.parents_of(j)] = True
+    return live
+
+
+@given(program(), lane_batches, st.sampled_from([None, 0]))
+@settings(max_examples=40, deadline=None)
+def test_rounded_lane_adjoint_is_live_exactly_on_paths_to_the_output(
+    steps, lane_specs, gate
+):
+    """The premise of the rounded sweep's per-edge activity: under
+    outward rounding a node's lane adjoint is nonzero in every lane when
+    it has a path to the seeded output, and zero in every lane when not."""
+    with pytest.MonkeyPatch.context() as patch:
+        if gate is not None:
+            patch.setattr(rounding_module, "INT_STEP_MIN_SIZE", gate)
+        with rounded_mode(True):
+            tape, regs = record(steps, centered(*lane_specs[0]))
+            out = regs[len(regs) // 2].node.index
+            ct = CompiledTape(tape)
+            ivs = [centered(pt, rad) for pt, rad in lane_specs]
+            lo = np.array([[iv.lo for iv in lane] for lane in ivs]).T
+            hi = np.array([[iv.hi for iv in lane] for lane in ivs]).T
+            alo, ahi = ct.forward_lanes(lo, hi).adjoint({out: 1.0})
+    zero = (alo == 0.0) & (ahi == 0.0)
+    live = on_paths_to(ct, out)
+    assert not zero[live].any()
+    assert zero[~live].all()
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(-1e150, 1e150, allow_nan=False),
+            st.floats(-1e150, 1e150, allow_nan=False),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_replayed_squares_enclose_the_exact_square(pairs):
+    """Replayed squares are the object engine's IEEE products: the same
+    bits, enclosing the exact square (a Fraction reference), including
+    where glibc's pow(x, 2.0) misrounds."""
+    from fractions import Fraction
+
+    misrounded = [
+        -458.7228991098864,
+        78.48650741311735,
+        816.6283851054695,
+        -476.64932314208033,
+    ]
+    bounds = [(min(a, b), max(a, b)) for a, b in pairs]
+    bounds += [(x, x) for x in misrounded]
+    tape = Tape()
+    with tape:
+        x = ADouble.input(Interval(1.0, 2.0), label="x")
+        sqr = x * x
+        pow2 = x**2
+    ct = CompiledTape(tape)
+    lo = np.array([[b[0] for b in bounds]])
+    hi = np.array([[b[1] for b in bounds]])
+    lanes = ct.forward_lanes(lo, hi)
+    for j, (a, b) in enumerate(bounds):
+        ref = Interval(a, b) ** 2
+        fa, fb = Fraction(a), Fraction(b)
+        exact_lo = min(fa * fa, fb * fb) if a >= 0 or b <= 0 else Fraction(0)
+        exact_hi = max(fa * fa, fb * fb)
+        for node in (sqr, pow2):
+            got = lanes.value(node.node.index, j)
+            assert got.lo == ref.lo and got.hi == ref.hi
+            assert Fraction(got.lo) <= exact_lo
+            assert exact_hi <= Fraction(got.hi)
+
+
+def test_overflowing_square_raises_when_recorded_and_replayed():
+    def record_square(square, value):
+        tape = Tape()
+        with tape:
+            x = ADouble.input(value, label="x")
+            square(x)
+        return tape
+
+    for square in (lambda x: x * x, lambda x: x**2):
+        with pytest.raises(OverflowError):
+            record_square(square, Interval(1e200, 1e200))
+        ct = CompiledTape(record_square(square, Interval(1.0, 2.0)))
+        with pytest.raises(OverflowError):
+            ct.forward([Interval(1e200, 1e200)])
+        with pytest.raises(OverflowError):
+            ct.forward_lanes(np.array([[1.0, 1e200]]), np.array([[2.0, 1e200]]))
+        # An infinite bound squares to inf without raising, as x ** 2 does.
+        lanes = ct.forward_lanes(np.array([[-np.inf]]), np.array([[np.inf]]))
+        assert lanes.value(ct.n - 1, 0) == Interval(-np.inf, np.inf) ** 2
+
+
 def _point_rule_program(x, y, z):
     """Every point-partial edge kind next to the general ones.
 
@@ -226,6 +328,65 @@ def test_point_partial_rule_bitwise(monkeypatch, gate, rounding):
             rlo, rhi = Tape.adjoint_vector(lane_tape, [lane_out, lane_out - 1])
             assert vlo[:, j].tobytes() == np.asarray(rlo).tobytes()
             assert vhi[:, j].tobytes() == np.asarray(rhi).tobytes()
+
+
+ZERO_TIMES_INF_LANES = [
+    # x, y bounds per lane: 0·inf products in the forward, the adjoint
+    # and Eq. 11, next to ordinary lanes.
+    ((0.0, 0.0), (1.0, np.inf)),
+    ((-0.0, 0.0), (-np.inf, np.inf)),
+    ((0.0, 1.0), (-np.inf, -1.0)),
+    ((0.5, 2.0), (1.0, 3.0)),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("rounding", [True, False])
+@pytest.mark.parametrize("gate", [None, 0])
+def test_zero_times_infinity_bitwise(monkeypatch, gate, rounding):
+    """``0·inf`` products fold as 0 in every engine: replayed values,
+    partials, lane adjoints and Eq. 11 match recording each lane."""
+    from repro.scorpio.compiled import lane_eq11
+    from repro.scorpio.significance import significance_value
+
+    if gate is not None:
+        monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", gate)
+
+    def record_lane(x, y):
+        tape = Tape()
+        with tape:
+            a = ADouble.input(Interval(*x), label="x")
+            b = ADouble.input(Interval(*y), label="y")
+            out = (a * b) * 2.0 + a
+        return tape, out.node.index
+
+    with rounded_mode(rounding):
+        tape, out = record_lane(*ZERO_TIMES_INF_LANES[-1])
+        ct = CompiledTape(tape)
+        lo = np.array([[x[0], y[0]] for x, y in ZERO_TIMES_INF_LANES]).T
+        hi = np.array([[x[1], y[1]] for x, y in ZERO_TIMES_INF_LANES]).T
+        sig = lane_eq11(ct.forward_lanes(lo, hi), out)
+        lanes = ct.forward_lanes(lo, hi)
+        alo, ahi = lanes.adjoint({out: 1.0})
+        for j, (x, y) in enumerate(ZERO_TIMES_INF_LANES):
+            lane_tape, lane_out = record_lane(x, y)
+            ref = CompiledTape(lane_tape)
+            assert lanes.value_lo[:, j].tobytes() == ref.value_lo.tobytes()
+            assert lanes.value_hi[:, j].tobytes() == ref.value_hi.tobytes()
+            assert lanes.partial_lo[:, j].tobytes() == ref.partial_lo.tobytes()
+            assert lanes.partial_hi[:, j].tobytes() == ref.partial_hi.tobytes()
+            adjoints = Tape.adjoint(lane_tape, {lane_out: 1.0})
+            assert alo[:, j].tobytes() == np.array(
+                [a.lo for a in adjoints]
+            ).tobytes()
+            assert ahi[:, j].tobytes() == np.array(
+                [a.hi for a in adjoints]
+            ).tobytes()
+            expected = [
+                significance_value(node.value, a)
+                for node, a in zip(lane_tape.nodes, adjoints)
+            ]
+            assert sig[:, j].tobytes() == np.array(expected).tobytes()
 
 
 def test_lane_sweep_keeps_no_lane_sized_buffer():

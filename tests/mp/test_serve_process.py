@@ -108,6 +108,14 @@ class TestServeProcessBackend:
         assert tuned["mode"] == "target_quality"
         assert "taskwait" in tuned and "probes" in tuned
 
+    def test_non_numeric_tune_objective_400(self, service):
+        status, _, body = service.client().request_raw(
+            "POST", "/tune", {"kernel": "dct", "energy_budget": "lots"}
+        )
+        assert status == 400
+        detail = json.loads(body)["error"]["detail"]
+        assert detail == "'energy_budget' must be a number"
+
 
 class TestWorkerTapeStore:
     def test_pool_workers_attach_persisted_tapes(self, tmp_path):

@@ -92,3 +92,40 @@ class TestScan:
         scan = find_significance_variance(g, delta=1e-3)
         assert 1 in scan.variances and 2 in scan.variances
         assert scan.variances[1] == 0.0
+
+
+class TestSquares:
+    """The variance squares deviations as IEEE products, and a finite
+    deviation whose square overflows raises as ``d ** 2`` does, in the
+    object scan, the compiled scan and the lane scan alike."""
+
+    def test_square_is_the_product(self):
+        from repro.scorpio.variance import squared_deviations
+
+        sigs = [-458.7228991098864, 78.48650741311735, 816.6283851054695]
+        mean = sum(sigs) / len(sigs)
+        assert squared_deviations(sigs, mean) == sum(
+            (s - mean) * (s - mean) for s in sigs
+        )
+
+    def test_overflow_raises_in_every_scan(self):
+        import numpy as np
+
+        from repro.scorpio.compiled import _scan_columns, scan_grouped
+
+        graph = layered([[1e200, -1e200]])
+        with pytest.raises(OverflowError):
+            level_variance(graph, 1)
+        with pytest.raises(OverflowError):
+            scan_grouped({0: [0], 1: [1, 2]}, [1.0, 1e200, -1e200], 1e-6)
+        with pytest.raises(OverflowError):
+            _scan_columns(
+                np.array([[1.0, 1.0], [1e200, 1.0], [-1e200, 2.0]]),
+                (2,),
+                {0: [0], 1: [1, 2]},
+                delta=1e-6,
+            )
+
+    def test_infinite_significance_does_not_raise(self):
+        graph = layered([[float("inf"), 1.0]])
+        assert level_variance(graph, 1) != level_variance(graph, 1)  # NaN

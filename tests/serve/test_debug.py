@@ -103,6 +103,21 @@ class TestDebugRequests:
         assert "/debug/requests" not in paths
         assert probe not in ids
 
+    def test_advise_and_tune_are_attributed(self, service):
+        client = service.client()
+        client.advise("blackscholes", threshold=0.25)
+        advised = client.last_trace_id
+        client.tune("dct", target_quality=30.0, size=16)
+        tuned = client.last_trace_id
+        records = {
+            r["trace_id"]: r for r in client.debug_requests()["requests"]
+        }
+        assert records[advised]["path"] == "/advise"
+        assert records[advised]["kernel"] == "blackscholes"
+        assert records[advised]["outcome"] in ("record", "replay")
+        assert records[tuned]["path"] == "/tune"
+        assert records[tuned]["kernel"] == "dct"
+
     def test_bad_limit_is_400(self, service):
         client = service.client()
         with pytest.raises(ServiceError) as exc_info:
@@ -175,6 +190,15 @@ class TestSloHealth:
             health = client.healthz()
             assert health["degraded"] is False
 
+    def test_advise_and_tune_count_toward_their_kernels_slo(self):
+        config = ServiceConfig(port=0, default_slo_ms=0.000001)
+        with ServiceThread(config=config) as service:
+            client = service.client()
+            client.advise("blackscholes")
+            client.tune("dct", target_quality=30.0, size=16)
+            health = client.healthz()
+            assert health["degraded_kernels"] == ["blackscholes", "dct"]
+
     def test_no_slo_by_default(self, service):
         assert service.service.flight.slo_for("blackscholes") is None
 
@@ -190,3 +214,62 @@ class TestTracingDisabled:
             # The flight record survives; no spans were retained.
             assert body["request"]["kernel"] == "blackscholes"
             assert body["spans"] == []
+
+
+class TestTracingFlag:
+    """Services switch span recording on for their lifetime; the last one
+    to close restores the caller's flag, whatever the close order."""
+
+    @pytest.mark.parametrize("order", ["nested", "start_order"])
+    def test_last_close_restores_callers_flag(self, order):
+        previous = trace.set_enabled(False)
+        try:
+            a = ServiceThread(config=ServiceConfig(port=0)).start()
+            b = ServiceThread(config=ServiceConfig(port=0)).start()
+            assert trace.enabled()
+            first, last = (b, a) if order == "nested" else (a, b)
+            first.stop()
+            assert trace.enabled(), "a running service lost its spans"
+            last.stop()
+            assert not trace.enabled()
+        finally:
+            trace.set_enabled(previous)
+
+    def test_holds_survive_concurrent_starts_and_closes(self):
+        """Many threads taking and dropping the flag at once (short switch
+        interval): it stays on while any hold is live and the last
+        release restores the caller's value."""
+        import sys
+        import threading
+
+        from repro.serve.app import _TracingHolds
+
+        holds = _TracingHolds()
+        previous = trace.set_enabled(False)
+        barrier = threading.Barrier(8)
+        lost = []
+
+        def churn():
+            barrier.wait()
+            for _ in range(200):
+                holds.acquire()
+                if not trace.enabled():
+                    lost.append(True)
+                holds.release()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            holds.acquire()
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert trace.enabled() and not lost
+            holds.release()
+            assert not trace.enabled()
+        finally:
+            sys.setswitchinterval(interval)
+            trace.set_enabled(previous)

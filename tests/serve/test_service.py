@@ -221,6 +221,19 @@ class TestTune:
             assert status == 400
             assert "exactly one" in json.loads(body)["error"]["detail"]
 
+    def test_non_numeric_objective_400(self, client):
+        for field, value in (
+            ("target_quality", "high"),
+            ("target_quality", True),
+            ("energy_budget", [5.0]),
+        ):
+            status, _, body = client.request_raw(
+                "POST", "/tune", {"kernel": "dct", field: value}
+            )
+            assert status == 400
+            detail = json.loads(body)["error"]["detail"]
+            assert detail == f"'{field}' must be a number"
+
     def test_bad_size_400(self, client):
         status, _, _ = client.request_raw(
             "POST", "/tune", {"kernel": "dct", "target_quality": 1.0, "size": 1}
