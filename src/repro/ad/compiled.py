@@ -1,14 +1,20 @@
-"""Compiled tape: structure-of-arrays DynDFG with vectorized reverse sweeps.
+"""Compiled tape: structure-of-arrays DynDFG with one vectorized reverse sweep.
 
-:class:`CompiledTape` freezes a recorded :class:`~repro.ad.tape.Tape` into
-flat NumPy arrays — int32 opcodes, CSR parent/partial arrays
+:class:`CompiledTape` freezes a recorded interval :class:`~repro.ad.tape.Tape`
+into flat NumPy arrays — int32 opcodes, CSR parent/partial arrays
 (``row_ptr``/``parent_idx``/``partial_lo``/``partial_hi``), value lo/hi
 arrays — plus a precomputed *level schedule* so the reverse sweep (Eq. 7–9
 of the paper) can process whole levels of the graph per NumPy call instead
 of one Python ``Node`` at a time.
 
-The object tape remains the reference oracle; the compiled sweeps are
-engineered to be **bit-identical** to it, including the subtle parts:
+There is one reverse sweep, over ``(n, L)`` lanes
+(:meth:`ReplayLanes.adjoint` / :meth:`ReplayLanes.adjoint_vector`, which
+run :meth:`CompiledTape._sweep_lanes`).  :meth:`CompiledTape.adjoint` and
+:meth:`CompiledTape.adjoint_vector` run it on one lane whose columns are
+``(n, 1)`` views of the tape's current arrays.
+
+The object tape remains the reference oracle; the sweep is engineered to
+be **bit-identical** to it, including the subtle parts:
 
 * the interval endpoint rule uses the same four products in the same
   order, with the same ``0·inf → NaN → 0`` cleanup and the same fold-left
@@ -22,8 +28,8 @@ engineered to be **bit-identical** to it, including the subtle parts:
   flag at sweep time;
 * consumers with an exactly-zero adjoint are skipped (the object sweep's
   ``_is_zero`` shortcut is bit-relevant under outward rounding); rounded
-  lane sweeps decide that per edge, since a rounded adjoint is live in
-  every lane or in none;
+  sweeps decide that per edge, since a rounded adjoint is live in every
+  lane or in none;
 * per-parent accumulation order matches the object sweep: contributions
   arrive in descending consumer index, and for one consumer in recorded
   parent order.
@@ -36,7 +42,9 @@ when ``j``'s level is processed; incoming edges of each destination are
 ranked by ``(-consumer index, parent position)`` and applied rank by rank,
 so within one vectorized apply step all destinations are distinct (plain
 fancy-indexed gather/add/scatter, no ``np.add.at``) and each destination
-sees its contributions in exactly the object sweep's order.
+sees its contributions in exactly the object sweep's order.  Unrounded
+sweeps apply each destination's first contribution that way and the rest
+with one ``np.add.at``, which is unbuffered and keeps the same order.
 """
 
 from __future__ import annotations
@@ -64,14 +72,27 @@ _C_SWEEPS = _metrics.counter("ad.compiled_sweeps")
 _C_FORWARDS = _metrics.counter("replay.forwards")
 _C_FORWARD_LANES = _metrics.counter("replay.forward_lanes")
 
-_NEG_INF = -np.inf
-_POS_INF = np.inf
+# Elements (edges x lane row) of a level's point-partial edges from which
+# they fold in their own two-product group: below it, one four-product
+# fold over the whole level costs fewer NumPy calls than two folds.
+_POINT_GROUP_MIN = 2048
 
 _GET_OP = attrgetter("op")
 _GET_VALUE = attrgetter("value")
 _GET_PARENTS = attrgetter("parents")
 _GET_PARTIALS = attrgetter("partials")
 _GET_LABEL = attrgetter("label")
+
+
+def _require_interval(n: int, value_is_interval: np.ndarray) -> bool:
+    """``interval_mode`` of a tape of ``n`` nodes; refuses a float tape."""
+    interval_mode = bool(value_is_interval.any())
+    if n and not interval_mode:
+        raise ValueError(
+            "CompiledTape compiles interval tapes only (no node value is "
+            "an Interval); sweep a float tape with Tape.adjoint"
+        )
+    return interval_mode
 
 
 def _csr_gather(row_ptr: np.ndarray, data: np.ndarray, rows: np.ndarray):
@@ -89,7 +110,12 @@ def _csr_gather(row_ptr: np.ndarray, data: np.ndarray, rows: np.ndarray):
 
 
 class CompiledTape:
-    """A :class:`Tape` frozen into structure-of-arrays form.
+    """An interval :class:`Tape` frozen into structure-of-arrays form.
+
+    A non-empty tape none of whose node values is an :class:`Interval`
+    (a float tape) is refused with :class:`ValueError`: the sweep
+    implements the interval rule only.  Float tapes sweep on the object
+    tape (:meth:`Tape.adjoint`).
 
     Attributes:
         n: number of nodes.
@@ -97,7 +123,7 @@ class CompiledTape:
         op_names: interned operation-name table (opcode → name).
         labels: sparse ``{node index: label}`` for registered variables.
         value_lo / value_hi: ``(n,)`` float64 forward-value bounds
-            (``lo == hi`` for float tapes and point values).
+            (``lo == hi`` for float-valued nodes and point values).
         value_is_interval: ``(n,)`` bool — whether the original node value
             was an :class:`Interval`.
         row_ptr / parent_idx: CSR edge structure; the parents of node ``j``
@@ -105,7 +131,8 @@ class CompiledTape:
         partial_lo / partial_hi: per-edge local partial bounds, parallel to
             :attr:`parent_idx`.
         interval_mode: True when any node value is an :class:`Interval`
-            (the same rule the object sweep uses).
+            (the same rule the object sweep uses); always True on a
+            non-empty compiled tape.
         depth: ``(n,)`` consumer-depth level of every node (the sweep
             schedule; 0 = nodes with no consumers).
     """
@@ -149,7 +176,7 @@ class CompiledTape:
             count=n,
         )
         self.value_is_interval = value_is_interval
-        self.interval_mode = bool(value_is_interval.any())
+        self.interval_mode = _require_interval(n, value_is_interval)
         self.labels = {
             j: label
             for j, label in enumerate(map(_GET_LABEL, nodes))
@@ -247,7 +274,7 @@ class CompiledTape:
         self.value_lo = value_lo
         self.value_hi = value_hi
         self.value_is_interval = value_is_interval
-        self.interval_mode = bool(value_is_interval.any())
+        self.interval_mode = _require_interval(n, value_is_interval)
         self.row_ptr = row_ptr
         self.n_edges = int(row_ptr[n])
         self.parent_idx = parent_idx
@@ -304,9 +331,7 @@ class CompiledTape:
         n_levels = int(self.depth.max()) + 1 if n else 0
         self.n_levels = n_levels
         self._rank_cache: dict[int, list[np.ndarray]] = {}
-        self._split_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._scratch: dict[str, np.ndarray] = {}
-        self._lane_sched: list | None = None
+        self._lane_sched: tuple[Any, list[_Level]] | None = None
 
         if e == 0:
             self._contrib_schedule = [
@@ -342,47 +367,6 @@ class CompiledTape:
             by_dst[order2[bounds2[lvl] : bounds2[lvl + 1]]]
             for lvl in range(n_levels)
         ]
-
-    def _buf(self, key: str, shape: tuple[int, ...]) -> np.ndarray:
-        """A reusable float64 work array that never escapes the tape.
-
-        Replay-style workloads run many sweeps over one tape; handing the
-        sweep temporaries fresh multi-megabyte allocations each call costs
-        more in page faults than the arithmetic on them.  Only buffers
-        whose contents are dead between calls may live here — anything
-        returned to a caller must stay freshly allocated.
-        """
-        a = self._scratch.get(key)
-        if a is None or a.shape != shape:
-            a = np.empty(shape, dtype=np.float64)
-            self._scratch[key] = a
-        return a
-
-    def _first_rest(self, level: int) -> tuple[np.ndarray, np.ndarray]:
-        """Split a level's flat apply list into (first, rest).
-
-        ``first`` holds each destination's first incoming contribution —
-        all destinations distinct, so a plain fancy-indexed add applies
-        it.  ``rest`` keeps the remaining edges in flat order, which per
-        destination is still ascending accumulation order, so an
-        ``np.add.at`` over it continues each destination's fold exactly
-        where ``first`` left off.  Most nodes have one consumer, so this
-        routes the bulk of the apply work around the slow unbuffered
-        ``add.at`` path without changing any accumulation order.
-        """
-        pair = self._split_cache.get(level)
-        if pair is None:
-            sel = self._apply_flat[level]
-            if sel.size == 0:
-                pair = (sel, sel)
-            else:
-                dst = self.parent_idx[sel]
-                first = np.empty(sel.size, dtype=bool)
-                first[0] = True
-                np.not_equal(dst[1:], dst[:-1], out=first[1:])
-                pair = (sel[first], sel[~first])
-            self._split_cache[level] = pair
-        return pair
 
     def _rank_steps(self, level: int) -> list[np.ndarray]:
         """Split a level's flat apply list into rank steps.
@@ -421,237 +405,52 @@ class CompiledTape:
         return steps
 
     # ------------------------------------------------------------------
-    # Vectorized reverse sweeps
+    # The reverse sweep
     # ------------------------------------------------------------------
+    def _one_lane(self) -> "ReplayLanes":
+        """The tape's current arrays as one lane of a :class:`ReplayLanes`.
+
+        Its columns are ``(n, 1)`` / ``(e, 1)`` views (no copy), its sweep
+        results are fresh arrays, and its contribution rows and Eq. 11
+        products come from the calling thread's :func:`lane_workspace`.
+        """
+        return ReplayLanes(
+            self,
+            self.value_lo[:, None],
+            self.value_hi[:, None],
+            self.partial_lo[:, None],
+            self.partial_hi[:, None],
+            scratch=lane_workspace(),
+        )
+
     def adjoint(
         self, seeds: Mapping[int, Any]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Level-parallel Eq. 7–9 sweep; bit-identical to ``Tape.adjoint``.
+        """Eq. 7–9 over the tape's current arrays; bit-identical to
+        ``Tape.adjoint``.
 
-        Returns ``(lo, hi)`` arrays of shape ``(n,)``.  For float tapes
-        ``lo is hi``.  Unlike the object sweep this does **not** write
-        ``node.adjoint`` back — adapters do that when materializing.
+        Runs the lane sweep (:meth:`ReplayLanes.adjoint`) on one lane
+        whose columns are views of :attr:`value_lo` / :attr:`value_hi` /
+        :attr:`partial_lo` / :attr:`partial_hi`, and returns its column:
+        fresh ``(n,)`` arrays ``(lo, hi)``.  Unlike the object sweep this
+        does **not** write ``node.adjoint`` back — adapters do that when
+        materializing.
         """
-        if not seeds:
-            raise ValueError("adjoint sweep needs at least one seeded output")
-        _C_SWEEPS.inc()
-        n = self.n
-        interval = self.interval_mode
-        rnd = interval and rounding_enabled()
-        alo = np.zeros(n, dtype=np.float64)
-        ahi = alo if not interval else np.zeros(n, dtype=np.float64)
-        for index, seed in seeds.items():
-            if not (0 <= index < n):
-                raise IndexError(f"seed index {index} outside tape")
-            if isinstance(seed, Interval):
-                slo, shi = seed.lo, seed.hi
-            else:
-                slo = shi = float(seed)
-            # The object sweep seeds via `zero + seed`, which is an
-            # outward-rounded interval add in interval mode.
-            if interval:
-                new_lo = alo[index] + slo
-                new_hi = ahi[index] + shi
-                if rnd:
-                    new_lo = np.nextafter(new_lo, _NEG_INF)
-                    new_hi = np.nextafter(new_hi, _POS_INF)
-                alo[index] = new_lo
-                ahi[index] = new_hi
-            else:
-                alo[index] = alo[index] + slo
-
-        with _span("ad.sweep") as sp:
-            sp.set(nodes=n, mode="scalar")
-            self._sweep(
-                alo[:, None], ahi[:, None], interval=interval, rnd=rnd
-            )
-        lo = alo.reshape(n)
-        hi = ahi.reshape(n)
-        return (lo, lo) if not interval else (lo, hi)
+        lo, hi = self._one_lane().adjoint(seeds)
+        return lo[:, 0], hi[:, 0]
 
     def adjoint_vector(
         self, outputs: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Level-parallel vector sweep; bit-identical to
-        ``Tape.adjoint_vector`` (endpoint rule, no outward rounding)."""
-        m = len(outputs)
-        if m == 0:
-            raise ValueError("adjoint_vector needs at least one output")
-        _C_SWEEPS.inc()
-        n = self.n
-        lo = np.zeros((n, m), dtype=np.float64)
-        hi = np.zeros((n, m), dtype=np.float64)
-        for j, idx in enumerate(outputs):
-            if not (0 <= idx < n):
-                raise IndexError(f"output index {idx} outside tape")
-            lo[idx, j] += 1.0
-            hi[idx, j] += 1.0
-        with _span("ad.sweep") as sp:
-            sp.set(nodes=n, mode="vector", outputs=m)
-            self._sweep(lo, hi, interval=True, rnd=False, clean_nan=False)
-        return lo, hi
+        """Vector sweep over the tape's current arrays; bit-identical to
+        ``Tape.adjoint_vector`` (endpoint rule, no outward rounding).
 
-    def _sweep(
-        self,
-        alo: np.ndarray,
-        ahi: np.ndarray,
-        *,
-        interval: bool,
-        rnd: bool,
-        clean_nan: bool | None = None,
-    ) -> None:
-        """Run the scheduled reverse sweep in place on ``(n, m)`` bounds.
-
-        ``interval`` selects the endpoint product rule (else the plain
-        float product); ``clean_nan`` applies the ``0·inf → 0`` cleanup of
-        ``Interval.__mul__`` (defaults to ``interval`` — the vector sweep
-        disables it because ``Tape.adjoint_vector`` lets NaN propagate).
+        Runs the lane sweep (:meth:`ReplayLanes.adjoint_vector`) on one
+        lane, as :meth:`adjoint` does, and returns fresh ``(n, m)`` arrays
+        ``(lo, hi)``; column ``j`` is seeded at ``outputs[j]``.
         """
-        if clean_nan is None:
-            clean_nan = interval
-        e = self.n_edges
-        if e == 0:
-            return
-        edge_src = self._edge_src
-        edge_dst = self.parent_idx
-        partial_lo = self.partial_lo
-        partial_hi = self.partial_hi
-        m = alo.shape[1]
-        # Work buffers (reused across sweeps, keyed by m so scalar and
-        # vector sweeps on one tape don't evict each other).  `w4`/`w5`
-        # for the non-degenerate product path are fetched lazily below.
-        bkey = str(m)
-        contrib_lo = self._buf("contrib_lo" + bkey, (e, m))
-        contrib_hi = (
-            contrib_lo
-            if not interval
-            else self._buf("contrib_hi" + bkey, (e, m))
-        )
-        g_lo = self._buf("sweep_glo" + bkey, (e, m))
-        g_hi = g_lo if not interval else self._buf("sweep_ghi" + bkey, (e, m))
-        if interval:
-            w1 = self._buf("sweep_w1" + bkey, (e, m))
-            w2 = self._buf("sweep_w2" + bkey, (e, m))
-            w3 = self._buf("sweep_w3" + bkey, (e, m))
-        active = np.zeros(e, dtype=bool)
-
-        for level in range(self.n_levels):
-            # 1. Finalize this level's adjoints by applying the stored
-            #    incoming contributions.  The flat per-level edge list is
-            #    ordered so each destination sees its contributions in
-            #    exactly the object sweep's order (consumer desc, parent
-            #    position asc); `np.add.at` is unbuffered and processes
-            #    indices sequentially, so one call accumulates every
-            #    destination in that order.  Rounded sweeps need a
-            #    `nextafter` between consecutive adds to one destination,
-            #    which `add.at` cannot interleave — they fall back to
-            #    rank-by-rank steps (distinct destinations per step).
-            flat = self._apply_flat[level]
-            if flat.size:
-                if rnd:
-                    for sel in self._rank_steps(level):
-                        sub = sel[active[sel]]
-                        if not sub.size:
-                            continue
-                        dst = edge_dst[sub]
-                        new_lo = alo[dst]
-                        new_lo += contrib_lo[sub]
-                        alo[dst] = down_array(new_lo, out=new_lo)
-                        new_hi = ahi[dst]
-                        new_hi += contrib_hi[sub]
-                        ahi[dst] = up_array(new_hi, out=new_hi)
-                else:
-                    first, rest = self._first_rest(level)
-                    sub = first[active[first]]
-                    if sub.size:
-                        dst = edge_dst[sub]
-                        alo[dst] += contrib_lo[sub]
-                        if interval:
-                            ahi[dst] += contrib_hi[sub]
-                    sub = rest[active[rest]]
-                    if sub.size:
-                        dst = edge_dst[sub]
-                        np.add.at(alo, dst, contrib_lo[sub])
-                        if interval:
-                            np.add.at(ahi, dst, contrib_hi[sub])
-
-            # 2. Emit this level's outgoing edge contributions (sources
-            #    are final now); zero-adjoint sources are skipped exactly
-            #    like the object sweep's `_is_zero` shortcut.
-            sel = self._contrib_schedule[level]
-            if not sel.size:
-                continue
-            k = sel.size
-            src = edge_src[sel]
-            salo = np.take(alo, src, axis=0, out=g_lo[:k])
-            if interval:
-                sahi = np.take(ahi, src, axis=0, out=g_hi[:k])
-                act = (salo != 0.0).any(axis=1) | (sahi != 0.0).any(
-                    axis=1
-                )
-            else:
-                act = (salo != 0.0).any(axis=1)
-            active[sel] = act
-            if act.all():
-                # All sources live (the usual case once the sweep is a
-                # few levels in) — skip the boolean-compress copies.
-                sub = sel
-            else:
-                sub = sel[act]
-                if not sub.size:
-                    continue
-                salo = salo[act]
-            plo1 = partial_lo[sub]
-            plo = plo1[:, None]
-            if not interval:
-                contrib_lo[sub] = plo * salo
-                continue
-            if sub is not sel:
-                sahi = sahi[act]
-            phi1 = partial_hi[sub]
-            phi = phi1[:, None]
-            k2 = sub.size
-            if plo1.tobytes() == phi1.tobytes():
-                # Degenerate partials (bitwise ``plo == phi``, the common
-                # case: add/sub and multiply-by-constant nodes).  Then
-                # ``p3`` and ``p4`` repeat ``p1`` and ``p2`` bit-for-bit
-                # and the fold-left min/max below keeps the first of any
-                # tie, so two products suffice — same bits, half the work.
-                p1 = np.multiply(plo, salo, out=w1[:k2])
-                p2 = np.multiply(plo, sahi, out=w2[:k2])
-                if clean_nan:
-                    clo, chi = hull(p1, p2, rounded=rnd)
-                else:
-                    clo = np.minimum(p1, p2, out=w3[:k2])
-                    chi = np.maximum(p1, p2, out=p2)
-                if rnd:
-                    down_array(clo, out=clo)
-                    up_array(chi, out=chi)
-                contrib_lo[sub] = clo
-                contrib_hi[sub] = chi
-                continue
-            p1 = np.multiply(plo, salo, out=w1[:k2])
-            p2 = np.multiply(plo, sahi, out=w2[:k2])
-            p3 = np.multiply(phi, salo, out=self._buf("sweep_w4" + bkey, (e, m))[:k2])
-            p4 = np.multiply(phi, sahi, out=self._buf("sweep_w5" + bkey, (e, m))[:k2])
-            if clean_nan:
-                clo, chi = hull(p1, p2, p3, p4, rounded=rnd)
-            else:
-                # Tape.adjoint_vector's exact association order (in-place
-                # variants reuse the product buffers; results unchanged).
-                clo = np.minimum(p1, p2, out=w3[:k2])
-                t = np.minimum(
-                    p3, p4, out=self._buf("sweep_w6" + bkey, (e, m))[:k2]
-                )
-                np.minimum(clo, t, out=clo)
-                chi = np.maximum(p1, p2, out=p2)
-                np.maximum(p3, p4, out=p4)
-                chi = np.maximum(chi, p4, out=chi)
-            if rnd:
-                down_array(clo, out=clo)
-                up_array(chi, out=chi)
-            contrib_lo[sub] = clo
-            contrib_hi[sub] = chi
+        lo, hi = self._one_lane().adjoint_vector(outputs)
+        return lo[:, 0], hi[:, 0]
 
     def _sweep_lanes(
         self,
@@ -668,32 +467,38 @@ class CompiledTape:
         """Reverse sweep over ``(n, L)`` or ``(n, L, m)`` bounds with
         per-lane partials, in place.
 
-        The lane-batched twin of :meth:`_sweep` used by replayed lanes:
-        partials come from the replay's ``(e, L)`` arrays instead of the
-        recorded per-edge scalars.  ``contrib_lo`` / ``contrib_hi`` are
-        the ``(e, L[, m])`` contribution rows, supplied by the caller;
-        their contents are dead on entry and on return.  Edges whose
-        partial is one point constant in every lane (see
-        :meth:`_lane_schedule`) take :meth:`_sweep`'s two-product rule.
+        Partials come from ``(e, L)`` arrays: a replay's, or one-lane
+        views of the tape's own.  ``contrib_lo`` / ``contrib_hi`` are the
+        ``(e, L[, m])`` contribution rows, supplied by the caller; their
+        contents are dead on entry and on return.  Edges whose partial is
+        one point constant in every lane (see :meth:`_lane_schedule`)
+        take two endpoint products instead of four, when the level holds
+        at least :data:`_POINT_GROUP_MIN` such elements: the other two
+        would repeat them bit for bit.  A smaller level folds them with
+        its other edges, in one group.
 
         The object sweep skips consumers whose adjoint is exactly zero.
-        Rounded sweeps (scalar seed, ``(n, L)``) decide that per edge, as
-        :meth:`_sweep` does, from lane 0: outward rounding keeps every
-        adjoint that received a contribution nonzero (``down(x) < x <= y
-        < up(y)``), so a node is live in every lane or in none.  Unrounded
-        sweeps decide it per lane, zeroing the contributions of lanes
-        whose source adjoint is zero (bit-relevant, and it also stops NaN
-        pollution when ``clean_nan`` is off).
+        Rounded sweeps (scalar seed, ``(n, L)``) decide that per edge from
+        lane 0: outward rounding keeps every adjoint that received a
+        contribution nonzero (``down(x) < x <= y < up(y)``), so a node is
+        live in every lane or in none.  Unrounded sweeps decide it per
+        lane, zeroing the contributions of lanes whose source adjoint is
+        zero (bit-relevant, and it also stops NaN pollution when
+        ``clean_nan`` is off).
+
+        Callers turn NumPy's floating-point warnings off, as the forward
+        replay does: Python floats give the same ``inf`` and NaN
+        (``0·inf``, ``inf - inf``) without one.
         """
         e = self.n_edges
         if e == 0 or alo.shape[1] == 0:
             return
-        edge_src = self._edge_src
         edge_dst = self.parent_idx
         vector = alo.ndim == 3
+        row = alo[0].size
         live = np.zeros(e, dtype=bool)
 
-        for level, (sel, kp, consts) in enumerate(self._lane_schedule()):
+        for level, lv in enumerate(self._lane_schedule()):
             if rnd:
                 # Rank steps keep destinations distinct, so each step is a
                 # plain gather / add / round / scatter over its live edges.
@@ -712,19 +517,21 @@ class CompiledTape:
             else:
                 # Inactive-lane contributions were zeroed at emit, and
                 # adding 0.0 never flips a bound's bits (the running
-                # adjoint is never -0.0), so one add.at per level keeps
-                # the object sweep's per-destination order.
-                flat = self._apply_flat[level]
-                if flat.size:
-                    dst = edge_dst[flat]
-                    np.add.at(alo, dst, contrib_lo[flat])
-                    np.add.at(ahi, dst, contrib_hi[flat])
+                # adjoint is never -0.0).  Each destination's first
+                # contribution is a plain fancy-indexed add; one
+                # unbuffered add.at continues the rest in order.
+                if lv.first.size:
+                    alo[lv.first_dst] += contrib_lo[lv.first]
+                    ahi[lv.first_dst] += contrib_hi[lv.first]
+                if lv.rest.size:
+                    np.add.at(alo, lv.rest_dst, contrib_lo[lv.rest])
+                    np.add.at(ahi, lv.rest_dst, contrib_hi[lv.rest])
 
+            sel, src, kp, consts = lv.edges, lv.src, lv.kp, lv.consts
             if not sel.size:
                 continue
             act = None
             if rnd:
-                src = edge_src[sel]
                 edge_act = (alo[src, 0] != 0.0) | (ahi[src, 0] != 0.0)
                 live[sel] = edge_act
                 if not edge_act.all():
@@ -733,7 +540,9 @@ class CompiledTape:
                     sel = sel[edge_act]
                     if not sel.size:
                         continue
-            src = edge_src[sel]
+                    src = src[edge_act]
+            if kp < sel.size and kp * row < _POINT_GROUP_MIN:
+                kp = 0
             salo = alo[src]
             sahi = ahi[src]
             if not rnd:
@@ -775,9 +584,9 @@ class CompiledTape:
     ) -> None:
         """Fold one group's endpoint products into its contribution rows.
 
-        Two products are :meth:`_sweep`'s point-partial rule: the other
-        two of ``Interval.__mul__`` repeat them bit for bit, and the
-        keep-first fold never picks a repeat.  Unrounded sweeps zero the
+        Two products are the point-partial rule: the other two of
+        ``Interval.__mul__`` repeat them bit for bit, and the keep-first
+        fold never picks a repeat.  Unrounded sweeps zero the
         contributions of lanes whose source adjoint is zero (``act``
         False); rounded sweeps pass only live edges and no ``act``.
         """
@@ -802,36 +611,33 @@ class CompiledTape:
         contrib_lo[edges] = lo
         contrib_hi[edges] = hi
 
-    def _lane_schedule(self) -> list[tuple[np.ndarray, int, np.ndarray]]:
-        """Per level, the edges :meth:`_sweep_lanes` emits, point first.
+    def _lane_schedule(self) -> list["_Level"]:
+        """Per level, the edges :meth:`_sweep_lanes` emits and applies.
 
-        Each entry is ``(edges, kp, constants)``: the level's contribution
-        edges with the ``kp`` whose partial is one point constant in every
-        lane (:attr:`repro.ad.replay.ForwardPlan.point_edges`) in front,
-        and those constants as a ``(kp, 1)`` column.  The order within a
-        level does not matter: contributions are stored per edge and
-        applied in the apply schedule's order.
+        Point-partial edges come from the forward plan
+        (:attr:`repro.ad.replay.ForwardPlan.point_edges`), which every
+        replay builds.  Without one — a recording analysed once, or a
+        trace the replay refuses — no edge is a point edge and every edge
+        takes four products; the bits are the same.  The schedule is
+        rebuilt once a plan appears.
         """
-        sched = self._lane_sched
-        if sched is None:
-            plan = self._forward_plan()
+        plan = self._fplan
+        if self._lane_sched is None or self._lane_sched[0] is not plan:
             is_point = np.zeros(self.n_edges, dtype=bool)
-            is_point[plan.point_edges] = True
             value = np.zeros(self.n_edges, dtype=np.float64)
-            value[plan.point_edges] = plan.point_values
-            sched = []
-            for sel in self._contrib_schedule:
-                point = is_point[sel]
-                first = sel[point]
-                sched.append(
-                    (
-                        np.concatenate((first, sel[~point])),
-                        first.size,
-                        value[first][:, None],
+            if plan is not None:
+                is_point[plan.point_edges] = True
+                value[plan.point_edges] = plan.point_values
+            self._lane_sched = (
+                plan,
+                [
+                    _Level(self, emit, apply, is_point, value)
+                    for emit, apply in zip(
+                        self._contrib_schedule, self._apply_flat
                     )
-                )
-            self._lane_sched = sched
-        return sched
+                ],
+            )
+        return self._lane_sched[1]
 
     # ------------------------------------------------------------------
     # Forward replay (record once, replay many)
@@ -979,28 +785,73 @@ class CompiledTape:
         return self.parent_idx[self.row_ptr[index] : self.row_ptr[index + 1]]
 
 
+class _Level:
+    """One level of the reverse sweep's schedule.
+
+    ``edges`` are the contribution edges the level emits, the ``kp``
+    whose partial is one point constant in every lane in front;
+    ``src`` are their sources and ``consts`` the ``(kp, 1)`` constants.
+    ``first`` / ``rest`` split the level's apply list: ``first`` holds
+    each destination's first incoming contribution (destinations
+    distinct, so a plain fancy-indexed add applies it); ``rest`` keeps
+    the remaining edges in flat order, which per destination is still
+    ascending accumulation order, so one ``np.add.at`` continues each
+    destination's fold where ``first`` left off.  Most nodes have one
+    consumer, so this routes the bulk of the apply work around the slow
+    unbuffered ``add.at``.  ``first_dst`` / ``rest_dst`` are their
+    destinations.
+    """
+
+    __slots__ = (
+        "edges", "src", "kp", "consts",
+        "first", "first_dst", "rest", "rest_dst",
+    )
+
+    def __init__(self, ct, emit, apply, is_point, point_value):
+        point = is_point[emit]
+        head = emit[point]
+        self.edges = np.concatenate((head, emit[~point]))
+        self.src = ct._edge_src[self.edges]
+        self.kp = head.size
+        self.consts = point_value[head][:, None]
+        dst = ct.parent_idx[apply]
+        first = np.ones(apply.size, dtype=bool)
+        np.not_equal(dst[1:], dst[:-1], out=first[1:])
+        self.first, self.first_dst = apply[first], dst[first]
+        self.rest, self.rest_dst = apply[~first], dst[~first]
+
+
 class ReplayLanes:
     """The state of one lane-batched forward replay.
 
     Holds the ``(n, L)`` value bounds and ``(e, L)`` edge-partial bounds
     produced by :meth:`CompiledTape.forward_lanes`, and runs lane-batched
-    reverse sweeps over them.  Lane ``l`` of every result is bit-identical
-    to recording the program on lane ``l``'s inputs and sweeping the
-    object tape.
+    reverse sweeps over them: the one reverse sweep of the compiled
+    engine (:meth:`CompiledTape.adjoint` runs it on one lane).  Lane
+    ``l`` of every result is bit-identical to recording the program on
+    lane ``l``'s inputs and sweeping the object tape.
     """
 
     __slots__ = (
-        "ct", "value_lo", "value_hi", "partial_lo", "partial_hi", "workspace"
+        "ct", "value_lo", "value_hi", "partial_lo", "partial_hi",
+        "workspace", "scratch",
     )
 
-    def __init__(self, ct, vlo, vhi, plo, phi, workspace=None):
+    def __init__(
+        self, ct, vlo, vhi, plo, phi, workspace=None, *, scratch=None
+    ):
         self.ct = ct
         self.value_lo = vlo
         self.value_hi = vhi
         self.partial_lo = plo
         self.partial_hi = phi
-        # The LaneWorkspace the arrays came from (None: all fresh).
+        # The LaneWorkspace the arrays came from, which also holds the
+        # sweep results (None: all fresh).
         self.workspace = workspace
+        # The LaneWorkspace whose "contrib" role holds the sweep's
+        # contribution rows and Eq. 11's products, both dead once their
+        # call returns (None: fresh).
+        self.scratch = workspace if scratch is None else scratch
 
     @property
     def n_lanes(self) -> int:
@@ -1020,7 +871,8 @@ class ReplayLanes:
         ``Tape.adjoint`` on that lane's recording.
 
         Returns ``(lo, hi)`` arrays of shape ``(n, L)``, in the workspace
-        when the lanes have one.
+        when the lanes have one.  The contribution rows are taken from
+        :attr:`scratch` (fresh without one).
         """
         if not seeds:
             raise ValueError("adjoint sweep needs at least one seeded output")
@@ -1036,6 +888,8 @@ class ReplayLanes:
                 slo, shi = seed.lo, seed.hi
             else:
                 slo = shi = float(seed)
+            # The object sweep seeds via `zero + seed`, an outward-rounded
+            # interval add.
             new_lo = alo[index] + slo
             new_hi = ahi[index] + shi
             if rnd:
@@ -1043,15 +897,18 @@ class ReplayLanes:
                 up_array(new_hi, out=new_hi)
             alo[index] = new_lo
             ahi[index] = new_hi
-        self.ct._sweep_lanes(
-            alo,
-            ahi,
-            self.partial_lo,
-            self.partial_hi,
-            *_lane_pair(self.workspace, "contrib", (self.ct.n_edges, L)),
-            rnd=rnd,
-            clean_nan=True,
-        )
+        _C_SWEEPS.inc()
+        with _span("ad.sweep") as sp, np.errstate(all="ignore"):
+            sp.set(nodes=n, lanes=L, mode="scalar")
+            self.ct._sweep_lanes(
+                alo,
+                ahi,
+                self.partial_lo,
+                self.partial_hi,
+                *_lane_pair(self.scratch, "contrib", (self.ct.n_edges, L)),
+                rnd=rnd,
+                clean_nan=True,
+            )
         return alo, ahi
 
     def adjoint_vector(
@@ -1060,7 +917,7 @@ class ReplayLanes:
         """Lane-batched vector sweep; per lane bit-identical to
         ``Tape.adjoint_vector`` (endpoint rule, no outward rounding).
 
-        Returns ``(lo, hi)`` arrays of shape ``(n, L, m)``.
+        Returns fresh ``(lo, hi)`` arrays of shape ``(n, L, m)``.
         """
         m = len(outputs)
         if m == 0:
@@ -1073,15 +930,18 @@ class ReplayLanes:
                 raise IndexError(f"output index {idx} outside tape")
             lo[idx, :, j] += 1.0
             hi[idx, :, j] += 1.0
-        self.ct._sweep_lanes(
-            lo,
-            hi,
-            self.partial_lo,
-            self.partial_hi,
-            *_lane_pair(None, "contrib", (self.ct.n_edges, L, m)),
-            rnd=False,
-            clean_nan=False,
-        )
+        _C_SWEEPS.inc()
+        with _span("ad.sweep") as sp, np.errstate(all="ignore"):
+            sp.set(nodes=n, lanes=L, mode="vector", outputs=m)
+            self.ct._sweep_lanes(
+                lo,
+                hi,
+                self.partial_lo,
+                self.partial_hi,
+                *_lane_pair(self.scratch, "contrib", (self.ct.n_edges, L, m)),
+                rnd=False,
+                clean_nan=False,
+            )
         return lo, hi
 
 

@@ -112,9 +112,11 @@ class ReplayError(RuntimeError):
     """The recorded trace cannot be replayed on fresh inputs.
 
     Raised by the structure guard when a tape is not a replayable
-    straight-line interval trace: unsupported operations, non-interval
-    node values (scalar-mode recordings), or constant-operand binaries
-    recorded without their folded-constant metadata.
+    straight-line interval trace: unsupported operations, float-valued
+    computed nodes (scalar arithmetic inside an interval trace), or
+    constant-operand binaries recorded without their folded-constant
+    metadata.  (Float tapes never get here: ``CompiledTape`` refuses
+    them.)
     """
 
 
@@ -446,11 +448,6 @@ class ForwardPlan:
 
     def __init__(self, ct):
         self.ct = ct
-        if not ct.interval_mode:
-            raise ReplayError(
-                "replay requires an interval-mode trace; scalar (float) "
-                "tapes re-record instead"
-            )
         nodes = ct.tape.nodes
         n = ct.n
         ptr = ct.row_ptr.tolist()

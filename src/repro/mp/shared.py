@@ -232,16 +232,18 @@ class SharedArray:
         return f"SharedArray({self.name!r}, {self.shape}, {self.dtype_str}, {mode})"
 
 
-# The frozen columns a tape ships.  value/partial arrays are the ones the
-# in-place forward path mutates; everything else is pure structure.
-_STRUCTURE_COLS = (
+# The frozen columns a tape ships.
+_COLUMNS = (
     "opcodes",
     "value_is_interval",
     "row_ptr",
     "parent_idx",
     "depth",
+    "value_lo",
+    "value_hi",
+    "partial_lo",
+    "partial_hi",
 )
-_VALUE_COLS = ("value_lo", "value_hi", "partial_lo", "partial_hi")
 
 
 class SharedTape:
@@ -299,11 +301,7 @@ class SharedTape:
         ``meta`` is arbitrary picklable context for the consumer (e.g.
         output ids, delta); it travels inside the handle, not in shm.
         """
-        arrays = {
-            col: SharedArray.create(getattr(ct, col)) for col in _STRUCTURE_COLS
-        }
-        for col in _VALUE_COLS:
-            arrays[col] = SharedArray.create(getattr(ct, col))
+        arrays = {col: SharedArray.create(getattr(ct, col)) for col in _COLUMNS}
         nodes = ct.tape.nodes
         if isinstance(nodes, _AuxNodes):
             aux = dict(nodes._aux)
@@ -315,41 +313,24 @@ class SharedTape:
             }
         return cls(arrays, ct.op_names, ct.labels, ct.tape.guards, aux, meta)
 
-    def attach(self, *, writable_values: bool = False) -> CompiledTape:
+    def attach(self) -> CompiledTape:
         """Rebuild a ``CompiledTape`` over this process's views.
 
-        With ``writable_values=False`` (the default) the value/partial
-        columns are zero-copy read-only views — exactly what the
-        lane-replay path needs, since :meth:`CompiledTape.forward_lanes`
-        never writes the tape.  ``writable_values=True`` gives the tape
-        private writable *copies* of the four value/partial columns so
-        the in-place :meth:`CompiledTape.forward` path works; structure
-        stays zero-copy either way.
+        Every column is a zero-copy read-only view.  That is all the lane
+        path needs: :meth:`CompiledTape.forward_lanes` and the reverse
+        sweep only read the tape.  The in-place
+        :meth:`CompiledTape.forward` writes the value/partial columns, so
+        it does not run on an attached tape.
         """
         with _obs_span("mp.shared.attach") as sp:
-            sp.set(writable_values=writable_values, columns=len(self.arrays))
-            return self._attach(writable_values=writable_values)
-
-    def _attach(self, *, writable_values: bool) -> CompiledTape:
-        cols = {col: self.arrays[col].view() for col in _STRUCTURE_COLS}
-        for col in _VALUE_COLS:
-            handle = self.arrays[col]
-            cols[col] = handle.copy() if writable_values else handle.view()
-        return CompiledTape.from_arrays(
-            opcodes=cols["opcodes"],
-            op_names=self.op_names,
-            value_lo=cols["value_lo"],
-            value_hi=cols["value_hi"],
-            value_is_interval=cols["value_is_interval"],
-            row_ptr=cols["row_ptr"],
-            parent_idx=cols["parent_idx"],
-            partial_lo=cols["partial_lo"],
-            partial_hi=cols["partial_hi"],
-            depth=cols["depth"],
-            labels=self.labels,
-            guards=self.guards,
-            aux=self.aux,
-        )
+            sp.set(columns=len(self.arrays))
+            return CompiledTape.from_arrays(
+                op_names=self.op_names,
+                labels=self.labels,
+                guards=self.guards,
+                aux=self.aux,
+                **{col: self.arrays[col].view() for col in _COLUMNS},
+            )
 
     def close(self) -> None:
         """Release every column segment (unlink those this process owns)."""

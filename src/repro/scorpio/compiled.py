@@ -79,19 +79,18 @@ def eq11_from_sweep(
     adj_lo: np.ndarray,
     adj_hi: np.ndarray,
     *,
-    interval_mode: bool = True,
     rows: Sequence[int] | np.ndarray | None = None,
     workspace: LaneWorkspace | None = None,
 ) -> np.ndarray:
     """``S_y(uj) = w([uj]·∇[uj][y])`` for every node, in one expression.
 
     Bit-identical to mapping
-    :func:`repro.scorpio.significance.significance_value` over the nodes:
-    same four endpoint products in the same order, ``0·inf → 0`` cleanup,
-    fold-left min/max tie-breaking, and outward rounding honouring the
-    global flag.  Arrays may carry any trailing lane axes.  For float
-    tapes (``interval_mode=False``) this is the scalar fallback
-    ``|uj · ∂y/∂uj|``.
+    :func:`repro.scorpio.significance.significance_value` over the nodes
+    of an interval tape: same four endpoint products in the same order,
+    ``0·inf → 0`` cleanup, fold-left min/max tie-breaking, and outward
+    rounding honouring the global flag.  NumPy's floating-point warnings
+    are off: Python floats give the same ``inf`` and NaN without one.
+    Arrays may carry any trailing lane axes.
 
     ``rows`` restricts the work to those node rows (any order, repeats
     allowed): the result is ``(len(rows), ...)``, row ``k`` holding node
@@ -105,10 +104,6 @@ def eq11_from_sweep(
         n = value_lo.shape[0]
         if rows.size and (rows.min() < -n or rows.max() >= n):
             raise IndexError(f"rows index outside the {n} nodes")
-    if not interval_mode:
-        if rows is not None:
-            value_lo, adj_lo = value_lo[rows], adj_lo[rows]
-        return np.abs(value_lo * adj_lo)
     rnd = rounding_enabled()
     shape = value_lo.shape if rows is None else rows.shape + value_lo.shape[1:]
     if workspace is None:
@@ -126,15 +121,16 @@ def eq11_from_sweep(
         al = adj_lo.take(rows, axis=0, out=p3, mode="wrap")
         ah = adj_hi.take(rows, axis=0, out=p4, mode="wrap")
         vh = value_hi.take(rows, axis=0, out=out, mode="wrap")
-    np.multiply(vl, al, out=p1)
-    np.multiply(vl, ah, out=p2)
-    np.multiply(vh, al, out=p3)
-    np.multiply(vh, ah, out=p4)
-    lo, hi = hull(p1, p2, p3, p4, rounded=rnd, out=out)
-    if rnd:
-        down_array(lo, out=lo)
-        up_array(hi, out=hi)
-    return np.subtract(hi, lo, out=hi)
+    with np.errstate(all="ignore"):
+        np.multiply(vl, al, out=p1)
+        np.multiply(vl, ah, out=p2)
+        np.multiply(vh, al, out=p3)
+        np.multiply(vh, ah, out=p4)
+        lo, hi = hull(p1, p2, p3, p4, rounded=rnd, out=out)
+        if rnd:
+            down_array(lo, out=lo)
+            up_array(hi, out=hi)
+        return np.subtract(hi, lo, out=hi)
 
 
 def lane_eq11(
@@ -161,9 +157,8 @@ def lane_eq11(
         lanes.value_hi,
         alo,
         ahi,
-        interval_mode=lanes.ct.interval_mode,
         rows=rows,
-        workspace=lanes.workspace,
+        workspace=lanes.scratch,
     )
 
 
@@ -173,55 +168,49 @@ def eq11_vector(
     adj_lo: np.ndarray,
     adj_hi: np.ndarray,
     *,
-    interval_mode: bool = True,
-    scratch: dict | None = None,
+    workspace: LaneWorkspace | None = None,
 ) -> np.ndarray:
     """Vector-mode Eq. 11: ``S_y(uj) = Σ_i S_{y_i}(uj)`` on ``(n, m)``
     adjoint component matrices — the array twin of
-    :func:`repro.scorpio.significance.significance_map_vector` (same
-    branch per node, same association order, no outward rounding).
+    :func:`repro.scorpio.significance.significance_map_vector` on an
+    interval tape (same branch per node, same association order, no
+    outward rounding, no NumPy floating-point warnings).
 
-    ``scratch`` may hold reusable work buffers (keyed by this function,
-    reallocated on shape changes); callers analysing many replays of one
-    tape pass the tape's pool to avoid re-faulting fresh pages per call.
-    Only the returned sum is ever exposed, so reuse cannot alias results.
+    With a ``workspace`` the products live in its ``"contrib"`` role
+    (dead once an adjoint sweep has returned); only the returned sum is
+    a new array.
     """
-    if not interval_mode:
-        return np.sum(np.abs(value_lo[:, None] * adj_lo), axis=1)
-
-    def buf(key: str) -> np.ndarray:
-        if scratch is None:
-            return np.empty(adj_lo.shape, dtype=np.float64)
-        a = scratch.get(key)
-        if a is None or a.shape != adj_lo.shape:
-            a = np.empty(adj_lo.shape, dtype=np.float64)
-            scratch[key] = a
-        return a
-
+    shape = (5, *adj_lo.shape)
+    if workspace is None:
+        p1, p2, p3, p4, pmin = np.empty(shape)
+    else:
+        p1, p2, p3, p4, pmin = workspace.take("contrib", shape)
     point = value_lo == value_hi
-    any_point = point.any()
     # Full-array endpoint products; point rows are recomputed below with
     # their own branch formula (cheaper than boolean-gathering four
     # (n, m) arrays when point rows are a minority, and elementwise ops
     # make the non-point rows bit-identical either way).
     vl = value_lo[:, None]
     vh = value_hi[:, None]
-    p1 = np.multiply(vl, adj_lo, out=buf("eq11_p1"))
-    p2 = np.multiply(vl, adj_hi, out=buf("eq11_p2"))
-    p3 = np.multiply(vh, adj_lo, out=buf("eq11_p3"))
-    p4 = np.multiply(vh, adj_hi, out=buf("eq11_p4"))
-    pmin = np.minimum(p1, p2, out=buf("eq11_pmin"))
-    t = np.minimum(p3, p4, out=buf("eq11_t"))
-    np.minimum(pmin, t, out=pmin)
-    pmax = np.maximum(p1, p2, out=p2)
-    np.maximum(p3, p4, out=p4)
-    np.maximum(pmax, p4, out=pmax)
-    np.subtract(pmax, pmin, out=pmax)
-    sig = np.sum(pmax, axis=1)
-    if any_point:
-        sig[point] = np.abs(value_lo[point]) * np.sum(
-            adj_hi[point] - adj_lo[point], axis=1
-        )
+    with np.errstate(all="ignore"):
+        np.multiply(vl, adj_lo, out=p1)
+        np.multiply(vl, adj_hi, out=p2)
+        np.multiply(vh, adj_lo, out=p3)
+        np.multiply(vh, adj_hi, out=p4)
+        # min(min(p1, p2), min(p3, p4)) and the same for max, in
+        # significance_map_vector's association order.
+        np.minimum(p1, p2, out=pmin)
+        pmax = np.maximum(p1, p2, out=p2)
+        t = np.minimum(p3, p4, out=p1)
+        np.minimum(pmin, t, out=pmin)
+        np.maximum(p3, p4, out=p4)
+        np.maximum(pmax, p4, out=pmax)
+        np.subtract(pmax, pmin, out=pmax)
+        sig = np.sum(pmax, axis=1)
+        if point.any():
+            sig[point] = np.abs(value_lo[point]) * np.sum(
+                adj_hi[point] - adj_lo[point], axis=1
+            )
     return sig
 
 
@@ -562,7 +551,7 @@ class _CompiledReport(SignificanceReport):
     _n: int
     _ops: list[str]
     _values: tuple[list, list, list]  # lo, hi, is-interval flags
-    _adjoint_columns: Any  # thunk -> (lo list, hi list or None)
+    _adjoint_columns: Any  # thunk -> (lo list, hi list)
     _simplified_n: int
 
     def labelled_significances(self) -> dict[str, float]:
@@ -737,107 +726,38 @@ def analyse_compiled_tape(
     *replayed* ones).  Pass a precomputed :class:`TraceStructure` to skip
     the per-call S4/BFS work when analysing many replays of one trace.
 
-    Returns a :class:`SignificanceReport` byte-identical (through
+    It runs :func:`analyse_replay_lanes` on one lane whose columns are
+    views of the tape's current arrays.  Returns a
+    :class:`SignificanceReport` byte-identical (through
     ``report_to_json``) to the object pipeline run on an equivalent
     recording.
     """
-    _C_ANALYSES.inc()
     with _obs_span("scorpio.analyse") as span_:
         span_.set(nodes=ct.n, backend="compiled")
-        return _analyse_compiled_tape(
+        return analyse_replay_lanes(
             ct,
+            ct._one_lane(),
             output_ids,
             input_ids=input_ids,
             intermediate_ids=intermediate_ids,
             delta=delta,
             simplify=simplify,
             structure=structure,
-        )
+        )[0]
 
 
-def _analyse_compiled_tape(
-    ct: CompiledTape,
-    output_ids: Sequence[int],
-    *,
-    input_ids: Sequence[int] = (),
-    intermediate_ids: Sequence[int] = (),
-    delta: float = 1e-6,
-    simplify: bool = True,
-    structure: TraceStructure | None = None,
-) -> SignificanceReport:
-    output_ids = list(output_ids)
-    if not output_ids:
-        raise ValueError("analyse_compiled needs at least one output")
-    if structure is None:
-        structure = TraceStructure(ct, output_ids, simplify=simplify)
-    elif structure.simplified != simplify:
-        raise ValueError(
-            "TraceStructure was built with a different `simplify` setting"
-        )
-    n = ct.n
-    interval = ct.interval_mode
-    value_lo = ct.value_lo
-    value_hi = ct.value_hi
-
-    if len(output_ids) == 1:
-        alo, ahi = ct.adjoint({output_ids[0]: 1.0})
-        with _obs_span("scorpio.eq11") as sp:
-            sig = eq11_from_sweep(
-                value_lo, value_hi, alo, ahi, interval_mode=interval
-            )
-            sp.set(nodes=n, outputs=1)
-        adjoint_columns = _adjoint_columns(alo, ahi, interval)
-    else:
-        lo, hi = ct.adjoint_vector(output_ids)
-        with _obs_span("scorpio.eq11") as sp:
-            sig = eq11_vector(
-                value_lo,
-                value_hi,
-                lo,
-                hi,
-                interval_mode=interval,
-                scratch=ct._scratch,
-            )
-            sp.set(nodes=n, outputs=len(output_ids))
-        adjoint_columns = _hull_columns(lo, hi)
-
-    # Snapshot the value columns eagerly: a later `ct.forward` overwrites
-    # them in place, and the report's lazy graph must keep showing the
-    # values this analysis ran on.  (The adjoint arrays are fresh per
-    # call, so closing over them is safe.)
-    return _assemble_from_columns(
-        structure=structure,
-        sig_list=sig.tolist(),
-        vlo_snap=value_lo.tolist(),
-        vhi_snap=value_hi.tolist(),
-        is_iv_snap=ct.value_is_interval.tolist(),
-        adjoint_columns=adjoint_columns,
-        labels=ct.labels,
-        delta=delta,
-        simplify=simplify,
-        input_ids=input_ids,
-        intermediate_ids=intermediate_ids,
-        output_ids=output_ids,
-        n=n,
-    )
-
-
-def _adjoint_columns(alo: np.ndarray, ahi: np.ndarray, interval: bool):
-    """Thunk of one sweep's adjoint columns as ``(lo list, hi list)``;
-    ``hi`` is None for float tapes, whose adjoints are plain floats.
+def _adjoint_columns(alo: np.ndarray, ahi: np.ndarray):
+    """Thunk of one sweep's adjoint columns as ``(lo list, hi list)``.
 
     The arrays are fresh per sweep, so deferring the ``tolist`` keeps it
     off the replay hot path until a graph or the JSON writer needs it.
     """
-    if interval:
-        return lambda: (alo.tolist(), ahi.tolist())
-    return lambda: (alo.tolist(), None)
+    return lambda: (alo.tolist(), ahi.tolist())
 
 
 def _hull_columns(lo: np.ndarray, hi: np.ndarray):
-    """Thunk of the per-node hull of ``(n, m)`` per-output adjoints:
-    significance_map_vector keeps that hull on every node, interval tape
-    or not."""
+    """Thunk of the per-node hull of ``(n, m)`` per-output adjoints, the
+    adjoint significance_map_vector keeps on every node."""
     return lambda: (np.min(lo, axis=1).tolist(), np.max(hi, axis=1).tolist())
 
 
@@ -872,17 +792,15 @@ def _assemble_from_columns(
     adjoint_memo: list[Any] = []
     value_memo: list[Any] = []
 
-    def columns() -> tuple[list, list | None]:
+    def columns() -> tuple[list, list]:
         if not column_memo:
             column_memo.append(adjoint_columns())
         return column_memo[0]
 
-    def adjoints() -> list[Any]:
+    def adjoints() -> list[Interval]:
         if not adjoint_memo:
             lo, hi = columns()
-            adjoint_memo.append(
-                lo if hi is None else [Interval(l, h) for l, h in zip(lo, hi)]
-            )
+            adjoint_memo.append([Interval(l, h) for l, h in zip(lo, hi)])
         return adjoint_memo[0]
 
     def values() -> list[Any]:
@@ -1037,7 +955,9 @@ def analyse_replay_lanes(
     recording — of lane ``l``'s inputs.  This is what lets
     :mod:`repro.serve` coalesce concurrent requests into one sweep while
     still answering each caller with the bytes it would have gotten
-    alone.
+    alone.  :func:`analyse_compiled_tape` runs it on one lane of a tape's
+    own arrays.  The reports keep the lanes' adjoint arrays, so pass
+    lanes replayed without a workspace.
     """
     output_ids = list(output_ids)
     if not output_ids:
@@ -1050,7 +970,6 @@ def analyse_replay_lanes(
         )
     n = ct.n
     L = lanes.n_lanes
-    interval = ct.interval_mode
     vlo = lanes.value_lo
     vhi = lanes.value_hi
     _C_ANALYSES.inc(L)
@@ -1060,7 +979,7 @@ def analyse_replay_lanes(
             alo, ahi = lanes.adjoint({output_ids[0]: 1.0})
             with _obs_span("scorpio.eq11") as sp:
                 sig = eq11_from_sweep(
-                    vlo, vhi, alo, ahi, interval_mode=interval
+                    vlo, vhi, alo, ahi, workspace=lanes.scratch
                 )
                 sp.set(nodes=n, outputs=1, lanes=L)
 
@@ -1068,9 +987,7 @@ def analyse_replay_lanes(
                 return sig[:, lane].tolist()
 
             def lane_adjoints(lane: int):
-                return _adjoint_columns(
-                    alo[:, lane], ahi[:, lane], interval
-                )
+                return _adjoint_columns(alo[:, lane], ahi[:, lane])
 
         else:
             lo, hi = lanes.adjoint_vector(output_ids)
@@ -1086,7 +1003,7 @@ def analyse_replay_lanes(
                         vhi[:, lane],
                         lo[:, lane, :],
                         hi[:, lane, :],
-                        interval_mode=interval,
+                        workspace=lanes.scratch,
                     )
                     sp.set(nodes=n, outputs=len(output_ids))
                 return s.tolist()
@@ -1094,6 +1011,9 @@ def analyse_replay_lanes(
             def lane_adjoints(lane: int):
                 return _hull_columns(lo[:, lane, :], hi[:, lane, :])
 
+        # The value columns are snapshotted eagerly: a later `ct.forward`
+        # overwrites a one-lane view's arrays in place, and the report's
+        # lazy graph must keep showing the values this analysis ran on.
         reports = []
         for lane in range(L):
             reports.append(

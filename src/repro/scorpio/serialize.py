@@ -199,7 +199,7 @@ def _write_compiled(report: _CompiledReport) -> str | None:
     alo, ahi = report._adjoint_columns()
     if not all(map(le, compress(vlo, is_iv), compress(vhi, is_iv))):
         return None
-    if ahi is not None and not all(map(le, alo, ahi)):
+    if not all(map(le, alo, ahi)):
         return None
     try:
         return _compose(report, graph)
@@ -244,9 +244,7 @@ def _compose(report: _CompiledReport, graph: _LazyDynDFG) -> str:
             pick(is_iv),
         )
     ]
-    adjoints = _floats(pick(alo))
-    if ahi is not None:
-        adjoints = _intervals(adjoints, _floats(pick(ahi)), pad)
+    adjoints = _intervals(_floats(pick(alo)), _floats(pick(ahi)), pad)
     nodes = []
     for i, value, adjoint, significance in zip(
         ids, values, adjoints, _floats(pick(report._sig))

@@ -11,9 +11,8 @@ identity, so repeated runs resume instead of recompute).
 
 Loading maps the structure columns straight off the file with
 ``np.memmap`` (read-only, zero-copy until touched) and gives the tape
-private writable copies of the four value/partial columns — the same
-split :class:`repro.mp.SharedTape` uses, because the in-place
-:meth:`CompiledTape.forward` replay writes those and only those.
+private writable copies of the four value/partial columns, because the
+in-place :meth:`CompiledTape.forward` replay writes those and only those.
 
 The payoff is warm starts: ``TraceCache(store_dir=...)`` (or the
 ``REPRO_TAPE_DIR`` environment variable via :mod:`repro.serve`) loads a
@@ -69,9 +68,9 @@ _C_LOADS = _obs_metrics.counter("tape_store.loads")
 _C_MISSES = _obs_metrics.counter("tape_store.misses")
 _C_ERRORS = _obs_metrics.counter("tape_store.errors")
 
-# Column split mirrors repro.mp.shared: structure stays a read-only view
-# (memmap here, shm there); value/partial columns get private writable
-# copies because CompiledTape.forward mutates them in place.
+# Structure stays a read-only memmap view; value/partial columns get
+# private writable copies because CompiledTape.forward mutates them in
+# place.
 _STRUCTURE_COLS = (
     "opcodes",
     "value_is_interval",

@@ -18,8 +18,8 @@ reproduces every rounding point of the object evaluation, and the reports
 serialize byte-for-byte equal to a fresh ``Analysis`` run.
 
 Validity: a cached trace is one straight-line execution.  Traces whose
-structure cannot be re-evaluated (scalar-mode tapes, unsupported ops) are
-rejected up front by the replay structure guard and fall back to
+structure cannot be re-evaluated (float-valued computed nodes, unsupported
+ops) are rejected up front by the replay structure guard and fall back to
 recording; input-dependent control flow is caught by re-checking the
 recorded comparison outcomes on the replayed values — a divergent branch
 raises :class:`~repro.ad.replay.GuardDivergenceError` and the cache
@@ -454,7 +454,8 @@ class TraceCache:
     the key (e.g. ``("dct_block",)`` — all DCT blocks share one trace).
     ``validate=True`` re-records the first replayed sample per trace and
     asserts op-sequence-hash and bitwise value equality
-    (:class:`TraceDivergenceError` on mismatch).
+    (:class:`TraceDivergenceError` on mismatch; the key then records on
+    every later call, as for a trace the structure guard rejected).
     """
 
     def __init__(
@@ -632,8 +633,15 @@ class TraceCache:
             return report, "record"
         if self.validate and not trace.validated:
             self._count(self._c_validations, _C_VALIDATIONS)
-            with trace.lock:
-                self._validate(trace, recorder, inputs)
+            try:
+                with trace.lock:
+                    self._validate(trace, recorder, inputs)
+            except TraceDivergenceError:
+                # The trace is not the program's: every later call for
+                # this key records, as for a trace the guard rejected.
+                with self._lock:
+                    self._traces[key] = None
+                raise
         try:
             with trace.lock:
                 with _obs_span("trace_cache.replay") as sp:

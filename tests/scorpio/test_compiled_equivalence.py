@@ -7,17 +7,21 @@ graph structure, adjoints, significances, levels and variances) must
 match exactly.
 """
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.intervals import rounding
+from repro.ad import ADouble, CompiledTape, ReplayError
+from repro.ad import intrinsics as op
+from repro.intervals import Interval, rounding
 from repro.intervals.rounding import rounded_mode
 from repro.kernels.blackscholes.analysis import analyse_option
 from repro.kernels.dct.analysis import analyse_dct_block
 from repro.kernels.maclaurin import analyse_maclaurin
 from repro.kernels.sobel.analysis import analyse_sobel_pixel
-from repro.scorpio import Analysis, analyse_compiled
-from repro.scorpio.serialize import report_to_json
+from repro.scorpio import Analysis, TraceCache, analyse_compiled
+from repro.scorpio.serialize import report_to_dict, report_to_json
 
 
 @pytest.fixture(scope="module")
@@ -79,6 +83,18 @@ class TestApiBehaviour:
         cmp = self._analysis().analyse(compiled=True)
         assert report_to_json(obj) == report_to_json(cmp)
 
+    def test_report_outlives_later_analyses(self):
+        # The report's adjoint columns are written lazily, after other
+        # analyses have swept on the same thread.
+        report = self._analysis().analyse(compiled=True)
+        expected = json.dumps(report_to_dict(self._analysis().analyse()), indent=2)
+        other = Analysis()
+        with other:
+            x = other.input(-3.0, width=0.25, name="x")
+            other.output(x * x - x, name="y")
+        other.analyse(compiled=True)
+        assert report_to_json(report) == expected
+
     def test_first_call_wins_cache(self):
         an = self._analysis()
         first = an.analyse(compiled=True)
@@ -112,3 +128,64 @@ class TestApiBehaviour:
         obj = self._analysis().analyse()
         assert len(rep.raw_graph) == len(obj.raw_graph)
         assert len(rep.simplified_graph) == len(obj.simplified_graph)
+
+
+def _refused_recording(kind: str, mixed: bool, ivs) -> Analysis:
+    """A recording the replay refuses.
+
+    With interval operands ``hypot``, ``atan2`` and ``pow`` compose from
+    primitives the replay knows; here each also runs on float constants
+    (``hypot``'s ``c * c``, ``atan2(c, d)``, ``pow``'s ``log(d)``), and
+    a float-valued node that is not a constant is what the structure
+    guard refuses.  ``mixed`` adds replayable interval operations.
+    """
+    an = Analysis()
+    with an:
+        x = an.input(ivs[0], name="x")
+        y = an.input(ivs[1], name="y")
+        c = ADouble.constant(0.75)
+        d = ADouble.constant(1.5)
+        if kind == "hypot":
+            z = op.hypot(x, c)
+        elif kind == "atan2":
+            z = op.atan2(c, d) * x
+        else:
+            z = d ** x
+        if mixed:
+            t = an.intermediate(op.sin(x * y) + x / y, "t")
+            z = op.hypot(z, t) - op.atan2(y, x) * t + t ** y
+        an.output(z, name="out")
+    return an
+
+
+@pytest.mark.parametrize("gate", [None, 0])
+@pytest.mark.parametrize("rounding_on", [True, False])
+@pytest.mark.parametrize("mixed", [False, True])
+@pytest.mark.parametrize("kind", ["hypot", "atan2", "pow"])
+def test_traces_the_replay_refuses(monkeypatch, kind, mixed, rounding_on, gate):
+    """analyse(compiled=True) on a trace without a forward plan (no
+    point-partial edges: every edge takes four products) writes the
+    object engine's bytes, directly and through the trace cache's
+    record-forever path."""
+    if gate is not None:
+        monkeypatch.setattr(rounding, "INT_STEP_MIN_SIZE", gate)
+    first = [Interval(0.5, 0.75), Interval(1.0, 1.25)]
+    second = [Interval(0.25, 0.5), Interval(1.5, 2.0)]
+    with rounded_mode(rounding_on):
+        with pytest.raises(ReplayError):
+            CompiledTape(_refused_recording(kind, mixed, first).tape)._forward_plan()
+        cache = TraceCache()
+        for ivs in (first, second):
+            reference = json.dumps(
+                report_to_dict(_refused_recording(kind, mixed, ivs).analyse()),
+                indent=2,
+            )
+            compiled = _refused_recording(kind, mixed, ivs).analyse(compiled=True)
+            assert report_to_json(compiled) == reference
+            report, outcome = cache.analyse_outcome(
+                ("refused", kind, mixed),
+                lambda v: _refused_recording(kind, mixed, v),
+                ivs,
+            )
+            assert outcome == "record"
+            assert report_to_json(report) == reference

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from repro.ad.compiled import CompiledTape
+from repro.ad.compiled import ReplayLanes
 from repro.intervals import Interval
 from repro.intervals.rounding import rounded_mode
 from repro.kernels.maclaurin import analyse_maclaurin
@@ -196,7 +196,9 @@ class TestColumnarWriter:
         assert report_to_json(report) == _reference(report)
 
     def test_nan_adjoint_raises_like_the_reference(self, monkeypatch):
-        adjoint = CompiledTape.adjoint
+        # The compiled report's adjoints come from the lane sweep, which
+        # analyse(compiled=True) runs on one lane.
+        adjoint = ReplayLanes.adjoint
 
         def poisoned(self, seeds):
             lo, hi = adjoint(self, seeds)
@@ -204,7 +206,7 @@ class TestColumnarWriter:
             lo[0] = math.nan
             return lo, hi
 
-        monkeypatch.setattr(CompiledTape, "adjoint", poisoned)
+        monkeypatch.setattr(ReplayLanes, "adjoint", poisoned)
         errors = []
         for encode in (_reference, report_to_json):
             report = _flat_recording().analyse(compiled=True)

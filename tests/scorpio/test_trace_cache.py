@@ -214,6 +214,16 @@ class TestTraceCache:
         cache.analyse(("flaky",), flaky, _ivs(0.7, 1.2))
         with pytest.raises(TraceDivergenceError, match="op sequence"):
             cache.analyse(("flaky",), flaky, _ivs(0.4, 0.8))
+        # The rejected trace is never replayed: the key records from now
+        # on, giving what a fresh recording gives.
+        report, outcome = cache.analyse_outcome(
+            ("flaky",), flaky, _ivs(0.3, 0.9)
+        )
+        assert outcome == "record"
+        assert not cache.has(("flaky",))
+        assert report_to_json(report) == report_to_json(
+            flaky(_ivs(0.3, 0.9)).analyse()
+        )
 
 
 class TestAnalyseOutcome:
