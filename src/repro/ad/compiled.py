@@ -11,7 +11,12 @@ There is one reverse sweep, over ``(n, L)`` lanes
 (:meth:`ReplayLanes.adjoint` / :meth:`ReplayLanes.adjoint_vector`, which
 run :meth:`CompiledTape._sweep_lanes`).  :meth:`CompiledTape.adjoint` and
 :meth:`CompiledTape.adjoint_vector` run it on one lane whose columns are
-``(n, 1)`` views of the tape's current arrays.
+``(n, 1)`` views of the recorded arrays.
+
+After compile the tape's arrays are only read.  A forward replay
+(:meth:`CompiledTape.forward` for one input set, :meth:`forward_lanes` for
+many) evaluates into lane arrays of its own and returns them as a
+:class:`ReplayLanes`, so any number of threads can replay one tape at once.
 
 The object tape remains the reference oracle; the sweep is engineered to
 be **bit-identical** to it, including the subtle parts:
@@ -257,12 +262,10 @@ class CompiledTape:
         binaries / clip bounds — installed on a minimal stub standing in
         for the original :class:`~repro.ad.tape.Tape`.
 
-        Arrays are adopted, not copied.  Read-only views are fine for the
-        sweeps and for :meth:`forward_lanes` (which never writes the
-        tape); the in-place :meth:`forward` path needs writable
-        value/partial arrays.  Passing the precomputed ``depth`` column
-        skips the Python depth pass, leaving only vectorized schedule
-        construction on the worker side.
+        Arrays are adopted, not copied, and may be read-only: nothing
+        writes a compiled tape's arrays.  Passing the precomputed
+        ``depth`` column skips the Python depth pass, leaving only
+        vectorized schedule construction on the worker side.
         """
         self = cls.__new__(cls)
         n = int(opcodes.shape[0])
@@ -408,7 +411,7 @@ class CompiledTape:
     # The reverse sweep
     # ------------------------------------------------------------------
     def _one_lane(self) -> "ReplayLanes":
-        """The tape's current arrays as one lane of a :class:`ReplayLanes`.
+        """The recorded arrays as one lane of a :class:`ReplayLanes`.
 
         Its columns are ``(n, 1)`` / ``(e, 1)`` views (no copy), its sweep
         results are fresh arrays, and its contribution rows and Eq. 11
@@ -426,7 +429,7 @@ class CompiledTape:
     def adjoint(
         self, seeds: Mapping[int, Any]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Eq. 7–9 over the tape's current arrays; bit-identical to
+        """Eq. 7–9 over the recorded arrays; bit-identical to
         ``Tape.adjoint``.
 
         Runs the lane sweep (:meth:`ReplayLanes.adjoint`) on one lane
@@ -442,7 +445,7 @@ class CompiledTape:
     def adjoint_vector(
         self, outputs: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vector sweep over the tape's current arrays; bit-identical to
+        """Vector sweep over the recorded arrays; bit-identical to
         ``Tape.adjoint_vector`` (endpoint rule, no outward rounding).
 
         Runs the lane sweep (:meth:`ReplayLanes.adjoint_vector`) on one
@@ -666,31 +669,27 @@ class CompiledTape:
         inputs: Mapping[int, Any] | Sequence[Any],
         *,
         check_guards: bool = True,
-    ) -> "CompiledTape":
-        """Re-evaluate the frozen trace on fresh input intervals, in place.
+    ) -> "ReplayLanes":
+        """Replay the trace on one set of fresh input intervals.
 
-        ``inputs`` is either a sequence of intervals parallel to the
-        registered input nodes or a mapping from input-node index to
-        interval.  After the call :attr:`value_lo`/:attr:`value_hi` and
-        :attr:`partial_lo`/:attr:`partial_hi` hold exactly the bounds a
-        fresh recording of the same program on these inputs would produce
-        (bit for bit, honouring the global rounding flag at call time), so
-        the existing :meth:`adjoint`/:meth:`adjoint_vector` sweeps — and
-        scorpio's analysis on top — run unchanged on the replayed state.
+        The one-input form of :meth:`forward_lanes`.  ``inputs`` is either
+        a sequence of intervals parallel to the registered input nodes or
+        a mapping from input-node index to interval.  Returns a one-lane
+        :class:`ReplayLanes` whose columns hold exactly the bounds a fresh
+        recording of the same program on these inputs would freeze (bit
+        for bit, honouring the global rounding flag at call time).  Like
+        :meth:`_one_lane`'s, its sweep results are fresh arrays and its
+        contribution rows come from the calling thread's
+        :func:`lane_workspace`.  The tape itself is not modified.
 
         With ``check_guards`` (default) the comparisons recorded on the
         source tape are re-evaluated on the replayed values; a flipped or
         ambiguous outcome raises
         :class:`~repro.ad.replay.GuardDivergenceError` /
         :class:`~repro.intervals.AmbiguousComparisonError` so callers can
-        fall back to re-recording.  A failed replay leaves the arrays
-        partially updated; the next successful :meth:`forward` overwrites
-        them completely.
+        fall back to re-recording.
         """
-        from .replay import check_guards as _check
-
-        plan = self._forward_plan()
-        input_nodes = plan.input_nodes
+        input_nodes = self._forward_plan().input_nodes
         if isinstance(inputs, Mapping):
             values = [inputs[j] for j in input_nodes]
         else:
@@ -699,20 +698,19 @@ class CompiledTape:
                 raise ValueError(
                     f"trace has {len(input_nodes)} inputs, got {len(values)}"
                 )
-        vlo, vhi = self.value_lo, self.value_hi
-        for j, value in zip(input_nodes, values):
-            iv = as_interval(value)
-            vlo[j] = iv.lo
-            vhi[j] = iv.hi
+        ivs = list(map(as_interval, values))
+        inputs_lo = np.array([iv.lo for iv in ivs], dtype=np.float64)
+        inputs_hi = np.array([iv.hi for iv in ivs], dtype=np.float64)
         _C_FORWARDS.inc()
         with _span("ad.forward") as sp:
             sp.set(nodes=self.n)
-            plan.run(
-                vlo, vhi, self.partial_lo, self.partial_hi, rounding_enabled()
+            return self._replay(
+                inputs_lo[:, None],
+                inputs_hi[:, None],
+                check_guards,
+                None,
+                scratch=lane_workspace(),
             )
-            if check_guards:
-                _check(self.tape.guards, vlo, vhi)
-        return self
 
     def forward_lanes(
         self,
@@ -736,10 +734,7 @@ class CompiledTape:
         Those arrays are valid until the next call that uses the same
         workspace.  Without one, every array is fresh.
         """
-        from .replay import check_guards as _check
-
-        plan = self._forward_plan()
-        input_nodes = plan.input_nodes
+        input_nodes = self._forward_plan().input_nodes
         inputs_lo = np.asarray(inputs_lo, dtype=np.float64)
         inputs_hi = np.asarray(inputs_hi, dtype=np.float64)
         if inputs_lo.ndim != 2 or inputs_lo.shape != inputs_hi.shape:
@@ -751,27 +746,55 @@ class CompiledTape:
                 f"trace has {len(input_nodes)} inputs, "
                 f"got {inputs_lo.shape[0]}"
             )
-        L = inputs_lo.shape[1]
-        # The sweep writes every other row; the rows it keeps (inputs,
-        # recorded constants) get the recorded columns across lanes.
-        vlo, vhi = _lane_pair(workspace, "value", (self.n, L))
-        plo, phi = _lane_pair(workspace, "partial", (self.n_edges, L))
-        for dst, src, rows in (
-            (vlo, self.value_lo, plan.kept_nodes),
-            (vhi, self.value_hi, plan.kept_nodes),
-            (plo, self.partial_lo, plan.kept_edges),
-            (phi, self.partial_hi, plan.kept_edges),
-        ):
-            dst[rows] = src[rows, None]
-        vlo[input_nodes] = inputs_lo
-        vhi[input_nodes] = inputs_hi
         _C_FORWARD_LANES.inc()
         with _span("ad.forward_lanes") as sp:
-            sp.set(nodes=self.n, lanes=L)
-            plan.run(vlo, vhi, plo, phi, rounding_enabled())
-            if check_guards:
-                _check(self.tape.guards, vlo, vhi)
-        return ReplayLanes(self, vlo, vhi, plo, phi, workspace)
+            sp.set(nodes=self.n, lanes=inputs_lo.shape[1])
+            return self._replay(inputs_lo, inputs_hi, check_guards, workspace)
+
+    def _replay(
+        self,
+        inputs_lo: np.ndarray,
+        inputs_hi: np.ndarray,
+        check_guards: bool,
+        workspace: "LaneWorkspace | None",
+        *,
+        scratch: "LaneWorkspace | None" = None,
+    ) -> "ReplayLanes":
+        """The replay step of :meth:`forward` and :meth:`forward_lanes`:
+        ``(n_inputs, L)`` input bounds into lane arrays of their own."""
+        from .replay import check_guards as _check
+
+        plan = self._fplan
+        L = inputs_lo.shape[1]
+        vlo, vhi = _lane_pair(workspace, "value", (self.n, L))
+        plo, phi = _lane_pair(workspace, "partial", (self.n_edges, L))
+        lanes = ReplayLanes(
+            self, vlo, vhi, plo, phi, workspace, scratch=scratch
+        )
+        recorded = (
+            self.value_lo, self.value_hi, self.partial_lo, self.partial_hi
+        )
+        if L == 1:
+            # NumPy gathers and scatters on (n, 1) arrays cost several
+            # times a 1-D one's, so one lane replays on its contiguous
+            # columns.
+            vlo, vhi, plo, phi = vlo[:, 0], vhi[:, 0], plo[:, 0], phi[:, 0]
+            inputs_lo, inputs_hi = inputs_lo[:, 0], inputs_hi[:, 0]
+        else:
+            recorded = tuple(col[:, None] for col in recorded)
+        # The sweep writes every other row; the rows it keeps (inputs,
+        # recorded constants) get the recorded columns in every lane.
+        nodes, edges = plan.kept_nodes, plan.kept_edges
+        for dst, src, rows in zip(
+            (vlo, vhi, plo, phi), recorded, (nodes, nodes, edges, edges)
+        ):
+            dst[rows] = src[rows]
+        vlo[plan.input_nodes] = inputs_lo
+        vhi[plan.input_nodes] = inputs_hi
+        plan.run(vlo, vhi, plo, phi, rounding_enabled())
+        if check_guards:
+            _check(self.tape.guards, lanes.value_lo, lanes.value_hi)
+        return lanes
 
     # ------------------------------------------------------------------
     # Convenience views
@@ -825,7 +848,8 @@ class ReplayLanes:
     """The state of one lane-batched forward replay.
 
     Holds the ``(n, L)`` value bounds and ``(e, L)`` edge-partial bounds
-    produced by :meth:`CompiledTape.forward_lanes`, and runs lane-batched
+    produced by :meth:`CompiledTape.forward_lanes` (one lane for
+    :meth:`CompiledTape.forward`), and runs lane-batched
     reverse sweeps over them: the one reverse sweep of the compiled
     engine (:meth:`CompiledTape.adjoint` runs it on one lane).  Lane
     ``l`` of every result is bit-identical to recording the program on

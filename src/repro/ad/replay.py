@@ -42,12 +42,18 @@ same program on the object tape.  That constraint drives every rule here:
   (e.g. ``tan`` re-derives ``1.0 + r*r`` through the same-object square
   rule and constant-add rounding).
 
+A replay never writes the compiled tape: it evaluates into ``(n, L)``
+lane arrays of its own, one lane per input set (a one-input replay is one
+lane, which :meth:`ForwardPlan.run` evaluates on its 1-D columns).
+
 Replay is only valid for *straight-line* traces: the structure guard
 (:class:`ReplayError` at plan build) rejects tapes replay cannot
 re-evaluate, and recorded comparison outcomes (``Tape.guards``) are
-re-checked on the replayed values (:func:`check_guards`) so input-dependent
-control flow surfaces as :class:`GuardDivergenceError` instead of a wrong
-answer.
+re-checked on the replayed values (:func:`check_guards`), one rule for any
+lane count, so input-dependent control flow surfaces as
+:class:`GuardDivergenceError` (or, where a lane cannot decide a recorded
+comparison, the :class:`~repro.intervals.AmbiguousComparisonError`
+recording raises) instead of a wrong answer.
 
 Error semantics during replay are batch-level: a domain violation (e.g.
 ``sqrt`` of an interval dipping below zero, division by an interval
@@ -64,7 +70,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.intervals import Interval, as_interval
+from repro.intervals import AmbiguousComparisonError, Interval, as_interval
 from repro.intervals import functions as ifn
 from repro.intervals.interval import square_overflow
 from repro.intervals.rounding import down_array, up_array
@@ -124,9 +130,12 @@ class GuardDivergenceError(RuntimeError):
     """A comparison recorded on the tape decided differently on replay.
 
     The recorded trace is one straight-line branch of the kernel; fresh
-    inputs that flip (or blur) any recorded branch condition would execute
+    inputs that flip any recorded branch condition would execute
     different code, so replaying the cached trace would silently compute
-    the wrong program.  Callers should fall back to re-recording.
+    the wrong program.  Callers should fall back to re-recording.  (A
+    condition the inputs cannot decide raises
+    :class:`~repro.intervals.AmbiguousComparisonError`, as recording
+    does.)
     """
 
 
@@ -335,16 +344,17 @@ def _per_interval(fn, alo, ahi):
 # Guard re-checking (straight-line branch validation)
 # ----------------------------------------------------------------------
 def check_guards(guards, value_lo, value_hi) -> None:
-    """Re-evaluate recorded comparison outcomes on replayed values.
+    """Re-evaluate recorded comparison outcomes on replayed ``(n, L)``
+    value bounds.
 
-    ``value_lo``/``value_hi`` may carry a trailing lane axis; every lane
-    must then reproduce the recorded outcome (batched replays cannot split
-    a batch across branches).  An ambiguous comparison raises
-    :class:`~repro.intervals.AmbiguousComparisonError` exactly like
-    recording would; a decided-but-flipped outcome raises
-    :class:`GuardDivergenceError`.
+    Each guard, in recorded order, applies the paper's Section 2.2
+    decision table per lane.  Decided as recorded in every lane, it
+    passes.  Decided the other way in any lane, it raises
+    :class:`GuardDivergenceError`: one replay cannot split its lanes
+    across branches.  Otherwise some lane cannot decide it, and it raises
+    :class:`~repro.intervals.AmbiguousComparisonError` with the operands
+    of the first such lane, as recording that lane would.
     """
-    lanes = value_lo.ndim > 1
     _C_GUARD_CHECKS.inc(len(guards))
     for op, left, rhs, outcome in guards:
         llo, lhi = value_lo[left], value_hi[left]
@@ -352,31 +362,35 @@ def check_guards(guards, value_lo, value_hi) -> None:
             rlo, rhi = rhs.lo, rhs.hi
         else:
             rlo, rhi = value_lo[rhs], value_hi[rhs]
-        if not lanes:
-            got = Interval(float(llo), float(lhi))._compare(
-                Interval(float(rlo), float(rhi)), _GUARD_OPS[op]
+        if op == "lt":
+            true_m, false_m = lhi < rlo, llo >= rhi
+        elif op == "le":
+            true_m, false_m = lhi <= rlo, llo > rhi
+        elif op == "gt":
+            true_m, false_m = llo > rhi, lhi <= rlo
+        else:  # ge
+            true_m, false_m = llo >= rhi, lhi < rlo
+        taken, other = (true_m, false_m) if outcome else (false_m, true_m)
+        if taken.all():
+            continue
+        if other.any():
+            _C_GUARD_DIVERGENCES.inc()
+            raise GuardDivergenceError(
+                f"recorded comparison ({_GUARD_OPS[op]}, outcome {outcome}) "
+                f"decided differently on replay inputs; the cached trace is "
+                f"one straight-line branch and these inputs take another — "
+                f"re-record instead of replaying"
             )
-            if got == outcome:
-                continue
-        else:
-            # Paper Section 2.2 decision table, vectorized per lane.
-            if op == "lt":
-                true_m, false_m = lhi < rlo, llo >= rhi
-            elif op == "le":
-                true_m, false_m = lhi <= rlo, llo > rhi
-            elif op == "gt":
-                true_m, false_m = llo > rhi, lhi <= rlo
-            else:  # ge
-                true_m, false_m = llo >= rhi, lhi < rlo
-            decided = np.all(true_m) if outcome else np.all(false_m)
-            if decided:
-                continue
-        _C_GUARD_DIVERGENCES.inc()
-        raise GuardDivergenceError(
-            f"recorded comparison ({_GUARD_OPS[op]}, outcome {outcome}) "
-            f"decided differently on replay inputs; the cached trace is "
-            f"one straight-line branch and these inputs take another — "
-            f"re-record instead of replaying"
+        lane = int(np.argmin(taken))
+        right = (
+            rhs
+            if isinstance(rhs, Interval)
+            else Interval(float(rlo[lane]), float(rhi[lane]))
+        )
+        raise AmbiguousComparisonError(
+            _GUARD_OPS[op],
+            Interval(float(llo[lane]), float(lhi[lane])),
+            right,
         )
 
 
@@ -442,8 +456,8 @@ class ForwardPlan:
     them directly instead of gathering their partial rows.
 
     ``kept_nodes`` / ``kept_edges`` are the value and partial rows no
-    step writes (inputs, recorded constants): a replay into fresh arrays
-    fills only those from the recording.
+    step writes (inputs, recorded constants): a replay fills only those
+    from the recording.
     """
 
     def __init__(self, ct):

@@ -114,7 +114,7 @@ class ReplayEvaluator:
 
             for ct, out_idx in self._traces:
                 try:
-                    ct.forward(intervals)
+                    lanes = ct.forward(intervals)
                 except GuardDivergenceError:
                     self.divergences += 1
                     continue
@@ -123,9 +123,7 @@ class ReplayEvaluator:
                     # docstring); a genuine one re-raises from _record.
                     continue
                 self.replays += 1
-                return Interval(
-                    float(ct.value_lo[out_idx]), float(ct.value_hi[out_idx])
-                )
+                return lanes.value(out_idx, 0)
         return self._record(intervals)
 
     def _record(self, intervals: list[Interval]) -> Interval:

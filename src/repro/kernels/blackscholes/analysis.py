@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.intervals import Interval
+from repro.intervals import AmbiguousComparisonError, Interval
 from repro.kernels.common import replay_lane_significances
 from repro.scorpio import Analysis, CachedTrace, TraceCache, replay_enabled
 
@@ -147,8 +147,9 @@ def _replay_options(
     the whole batch.  With ``executor="process"`` the lane sweep is
     chunked across worker processes via
     :func:`repro.mp.parallel_lane_significances` — same bits, more cores.
-    Returns ``None`` when the trace cannot be replayed (the caller falls
-    back to the per-option path).
+    Returns ``None`` when the trace cannot be replayed, or an option
+    takes another branch or cannot decide one (the caller falls back to
+    the per-option path, where each option ends as its own call would).
     """
     from repro.ad.replay import GuardDivergenceError, ReplayError
 
@@ -170,7 +171,7 @@ def _replay_options(
             executor=executor,
             workers=workers,
         )
-    except GuardDivergenceError:
+    except (GuardDivergenceError, AmbiguousComparisonError):
         return None
 
 

@@ -316,11 +316,10 @@ class SharedTape:
     def attach(self) -> CompiledTape:
         """Rebuild a ``CompiledTape`` over this process's views.
 
-        Every column is a zero-copy read-only view.  That is all the lane
-        path needs: :meth:`CompiledTape.forward_lanes` and the reverse
-        sweep only read the tape.  The in-place
-        :meth:`CompiledTape.forward` writes the value/partial columns, so
-        it does not run on an attached tape.
+        Every column is a zero-copy read-only view.  That is all any
+        replay needs: :meth:`CompiledTape.forward` (one input set),
+        :meth:`CompiledTape.forward_lanes` and the reverse sweep only
+        read the tape.
         """
         with _obs_span("mp.shared.attach") as sp:
             sp.set(columns=len(self.arrays))

@@ -710,24 +710,25 @@ def analyse_compiled_tape(
     ct: CompiledTape,
     output_ids: Sequence[int],
     *,
+    lanes: Any = None,
     input_ids: Sequence[int] = (),
     intermediate_ids: Sequence[int] = (),
     delta: float = 1e-6,
     simplify: bool = True,
     structure: TraceStructure | None = None,
 ) -> SignificanceReport:
-    """ANALYSE over a compiled tape's *current* arrays.
+    """ANALYSE over one lane of a compiled tape.
 
-    Unlike :func:`analyse_compiled` this reads every node value, opcode
-    and parent from the :class:`CompiledTape` columns rather than the
-    source ``tape.nodes`` — which is what makes it valid after
-    :meth:`CompiledTape.forward` replayed fresh inputs over the arrays
-    (the object nodes then hold the *recorded* values, the arrays the
-    *replayed* ones).  Pass a precomputed :class:`TraceStructure` to skip
-    the per-call S4/BFS work when analysing many replays of one trace.
+    The lane is ``lanes``, the one-lane :class:`ReplayLanes` that
+    :meth:`CompiledTape.forward` returns, or by default the recorded
+    arrays (:meth:`CompiledTape._one_lane`).  Unlike
+    :func:`analyse_compiled` this reads every node value, opcode and
+    parent from the compiled columns rather than the source
+    ``tape.nodes``, which hold the recorded values only.  Pass a
+    precomputed :class:`TraceStructure` to skip the per-call S4/BFS work
+    when analysing many replays of one trace.
 
-    It runs :func:`analyse_replay_lanes` on one lane whose columns are
-    views of the tape's current arrays.  Returns a
+    It runs :func:`analyse_replay_lanes` on that lane.  Returns a
     :class:`SignificanceReport` byte-identical (through
     ``report_to_json``) to the object pipeline run on an equivalent
     recording.
@@ -736,7 +737,7 @@ def analyse_compiled_tape(
         span_.set(nodes=ct.n, backend="compiled")
         return analyse_replay_lanes(
             ct,
-            ct._one_lane(),
+            ct._one_lane() if lanes is None else lanes,
             output_ids,
             input_ids=input_ids,
             intermediate_ids=intermediate_ids,
@@ -1011,9 +1012,8 @@ def analyse_replay_lanes(
             def lane_adjoints(lane: int):
                 return _hull_columns(lo[:, lane, :], hi[:, lane, :])
 
-        # The value columns are snapshotted eagerly: a later `ct.forward`
-        # overwrites a one-lane view's arrays in place, and the report's
-        # lazy graph must keep showing the values this analysis ran on.
+        # Each lane's value columns become lists here: the report's lazy
+        # graph and its JSON writer both read them.
         reports = []
         for lane in range(L):
             reports.append(

@@ -9,10 +9,10 @@ that to disk — one ``.bin`` file of raw contiguous array bytes and one
 spirit of ILAC's variant hashing (every variant keyed by a digest of its
 identity, so repeated runs resume instead of recompute).
 
-Loading maps the structure columns straight off the file with
-``np.memmap`` (read-only, zero-copy until touched) and gives the tape
-private writable copies of the four value/partial columns, because the
-in-place :meth:`CompiledTape.forward` replay writes those and only those.
+Loading maps every column straight off the file with ``np.memmap``
+(read-only, zero-copy until touched): a compiled tape's arrays are only
+read after compile, since every replay evaluates into lane arrays of its
+own.
 
 The payoff is warm starts: ``TraceCache(store_dir=...)`` (or the
 ``REPRO_TAPE_DIR`` environment variable via :mod:`repro.serve`) loads a
@@ -68,17 +68,18 @@ _C_LOADS = _obs_metrics.counter("tape_store.loads")
 _C_MISSES = _obs_metrics.counter("tape_store.misses")
 _C_ERRORS = _obs_metrics.counter("tape_store.errors")
 
-# Structure stays a read-only memmap view; value/partial columns get
-# private writable copies because CompiledTape.forward mutates them in
-# place.
-_STRUCTURE_COLS = (
+# The CompiledTape columns a file holds, in their order in the ``.bin``.
+_COLUMNS = (
     "opcodes",
     "value_is_interval",
     "row_ptr",
     "parent_idx",
     "depth",
+    "value_lo",
+    "value_hi",
+    "partial_lo",
+    "partial_hi",
 )
-_VALUE_COLS = ("value_lo", "value_hi", "partial_lo", "partial_hi")
 
 
 def store_key_digest(key: Any) -> str:
@@ -191,12 +192,7 @@ class TapeStore:
     # save
     # ------------------------------------------------------------------
     def save(self, key: Any, trace: Any) -> bool:
-        """Serialize a :class:`CachedTrace`'s compiled tape; False on error.
-
-        The caller is expected to hold the trace's replay lock (the
-        value columns are read while serializing), as :class:`TraceCache`
-        does.
-        """
+        """Serialize a :class:`CachedTrace`'s compiled tape; False on error."""
         try:
             self._save(key, trace)
         except Exception:
@@ -209,7 +205,7 @@ class TapeStore:
         ct: CompiledTape = trace.ct
         header_path, blob_path = self.paths_for(key)
         arrays: dict[str, np.ndarray] = {}
-        for col in _STRUCTURE_COLS + _VALUE_COLS:
+        for col in _COLUMNS:
             arrays[col] = np.ascontiguousarray(getattr(ct, col))
         manifest: dict[str, dict[str, Any]] = {}
         offset = 0
@@ -313,18 +309,15 @@ class TapeStore:
         if blob_size < int(header["total_bytes"]):
             return None
         cols: dict[str, np.ndarray] = {}
-        for col in _STRUCTURE_COLS + _VALUE_COLS:
+        for col in _COLUMNS:
             spec = manifest[col]
-            mm = np.memmap(
+            cols[col] = np.memmap(
                 blob_path,
                 dtype=np.dtype(spec["dtype"]),
                 mode="r",
                 offset=int(spec["offset"]),
                 shape=tuple(spec["shape"]),
             )
-            # Structure columns stay lazily-paged read-only maps; value
-            # columns must be private and writable for in-place forward.
-            cols[col] = np.array(mm) if col in _VALUE_COLS else mm
         op_names = list(header["op_names"])
         op_hash = _compiled_op_hash(
             op_names,

@@ -8,7 +8,7 @@ input intervals (every 8x8 DCT block, every BlackScholes option, every
 Sobel window records an identical graph).  This module keeps one
 :class:`~repro.ad.compiled.CompiledTape` per distinct trace and re-runs it
 with the vectorized forward sweep (:meth:`CompiledTape.forward`) instead
-of re-recording, feeding the replayed arrays straight into the compiled
+of re-recording, feeding the replayed lane straight into the compiled
 analysis pipeline
 (:func:`~repro.scorpio.compiled.analyse_compiled_tape`) with the
 structural work (S4 simplify, BFS levels) computed once per trace.
@@ -25,7 +25,9 @@ recorded comparison outcomes on the replayed values — a divergent branch
 raises :class:`~repro.ad.replay.GuardDivergenceError` and the cache
 transparently re-records.  ``validate=True`` additionally re-records the
 first replayed sample per trace and asserts the recording really is the
-same trace (op-sequence hash) with the same values (bitwise).
+same trace (op-sequence hash) with the same values (bitwise); a sample on
+another guarded branch takes the divergence path and leaves the check to
+a later one.
 
 The module-level replay default (:func:`replay_enabled` /
 :func:`set_replay_default`) lets the CLI's ``--replay/--no-replay`` flag
@@ -36,22 +38,19 @@ Concurrency: a :class:`TraceCache` is safe to share between threads
 (:mod:`repro.serve` hits one cache per kernel from a thread pool).  A
 per-key record lock serialises cold recording so two requests for the
 same cold kernel cannot race a half-built trace — the loser of the race
-waits, then replays.  Replay mutates the frozen trace's value arrays in
-place, so each :class:`CachedTrace` carries its own lock; the warm path
-costs one dict lookup and one uncontended lock acquisition on top of the
-replay itself.  The stats counters are guarded by a single cache-wide
-mutex.
+waits, then replays.  A replay only reads its :class:`CachedTrace`: it
+evaluates into lane arrays of its own, so any number of threads replay
+one trace at once and the warm path takes no lock but the cache-wide
+mutex that guards the trace map and the stats counters.
 
-**Both classes are per-process.**  The record/replay locks are
-``threading`` locks, invisible to other processes: two processes sharing
-a pickled cache would happily mutate "the same" trace concurrently with
-no mutual exclusion whatsoever.  Pickling a :class:`TraceCache` or
+**Both classes are per-process.**  The record locks are ``threading``
+locks, invisible to other processes, and a :class:`CachedTrace` holds
+its whole object tape.  Pickling a :class:`TraceCache` or
 :class:`CachedTrace` therefore raises ``TypeError`` up front.  To hand a
 trace to worker processes, use :meth:`CachedTrace.share`: it freezes the
 compiled arrays into :class:`repro.mp.SharedTape` segments whose handles
 pickle by ``(segment name, shape, dtype)``, and each worker attaches its
-own private ``CompiledTape`` (own lock-free replay state, zero-copy
-structure) — see :mod:`repro.mp`.
+own ``CompiledTape`` over zero-copy views — see :mod:`repro.mp`.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ import numpy as np
 from repro.ad.compiled import CompiledTape
 from repro.ad.replay import GuardDivergenceError, ReplayError
 from repro.ad.tape import Tape
-from repro.intervals import Interval, as_interval
+from repro.intervals import AmbiguousComparisonError, Interval, as_interval
 from repro.obs import metrics as _obs_metrics
 from repro.obs.trace import span as _obs_span
 
@@ -175,8 +174,6 @@ class CachedTrace:
         "simplify",
         "op_hash",
         "validated",
-        "replays",
-        "lock",
     )
 
     def __init__(self, analysis: Any, *, simplify: bool = True):
@@ -204,10 +201,6 @@ class CachedTrace:
         )
         self.op_hash = op_sequence_hash(tape)
         self.validated = False
-        self.replays = 0
-        # Replay writes into self.ct's value arrays in place; concurrent
-        # users of one trace must hold this while forwarding/analysing.
-        self.lock = threading.Lock()
 
     @classmethod
     def from_compiled(
@@ -249,16 +242,13 @@ class CachedTrace:
         )
         self.op_hash = op_hash
         self.validated = False
-        self.replays = 0
-        self.lock = threading.Lock()
         return self
 
     def __reduce__(self):
         raise TypeError(
-            "CachedTrace is per-process (its replay lock is a threading "
-            "lock and replay mutates the tape in place); use "
-            "CachedTrace.share() to freeze the compiled arrays into a "
-            "picklable repro.mp.SharedTape instead"
+            "CachedTrace is per-process (it holds the whole object "
+            "tape); use CachedTrace.share() to freeze the compiled arrays "
+            "into a picklable repro.mp.SharedTape instead"
         )
 
     def share(self, **meta: Any) -> "Any":
@@ -268,9 +258,7 @@ class CachedTrace:
         outputs), ``delta`` and ``simplify`` in its metadata alongside
         any extra ``meta`` keys, so a worker can rebuild the full
         analysis context from the handle alone.  Workers attach their
-        own private ``CompiledTape`` views — the shared segments are
-        read-only tape structure; nothing synchronises with this
-        process's replay lock.
+        own ``CompiledTape`` over read-only views of the segments.
         """
         from repro.mp import SharedTape
 
@@ -285,11 +273,12 @@ class CachedTrace:
             **meta,
         )
 
-    def _analyse_current(self) -> SignificanceReport:
-        """Analyse whatever the compiled arrays currently hold."""
+    def _analyse_lane(self, lanes: Any = None) -> SignificanceReport:
+        """Analyse one lane: a one-input replay's, or the recording's."""
         return analyse_compiled_tape(
             self.ct,
             self.output_ids,
+            lanes=lanes,
             input_ids=self.input_ids,
             intermediate_ids=self.intermediate_ids,
             delta=self.delta,
@@ -305,9 +294,7 @@ class CachedTrace:
         :class:`~repro.intervals.AmbiguousComparisonError` when a recorded
         comparison is ambiguous on them (recording would raise it too).
         """
-        self.ct.forward(inputs)
-        self.replays += 1
-        return self._analyse_current()
+        return self._analyse_lane(self.ct.forward(inputs))
 
     # ------------------------------------------------------------------
     # Lane-batched replay: one forward + one reverse sweep for L input
@@ -386,9 +373,10 @@ class CachedTrace:
         requests onto.
 
         Raises :class:`~repro.ad.replay.GuardDivergenceError` when *any*
-        lane takes a different branch than the recorded trace (the guard
-        check is all-lanes); callers fall back to per-item analysis.
-        The caller must hold :attr:`lock`.
+        lane takes a different branch than the recorded trace, and
+        :class:`~repro.intervals.AmbiguousComparisonError` when a lane
+        cannot decide a recorded comparison (the guard check covers all
+        lanes); callers fall back to per-item analysis.
         """
         L = len(inputs_batch)
         n_in = len(self.input_ids)
@@ -405,7 +393,6 @@ class CachedTrace:
                 lo[j, lane] = iv.lo
                 hi[j, lane] = iv.hi
         lanes = self.ct.forward_lanes(lo, hi)
-        self.replays += L
         return analyse_replay_lanes(
             self.ct,
             lanes,
@@ -416,22 +403,6 @@ class CachedTrace:
             simplify=self.simplify,
             structure=self.structure,
         )
-
-    def lane_report(self, lanes, lane: int) -> SignificanceReport:
-        """Full scalar report for one lane of a batched replay.
-
-        Re-forwards that lane's input intervals scalar-ly over the trace
-        and analyses, so the report is byte-identical to recording the
-        lane from scratch.
-        """
-        inputs = [
-            Interval(
-                float(lanes.value_lo[i, lane]),
-                float(lanes.value_hi[i, lane]),
-            )
-            for i in self.input_ids
-        ]
-        return self.analyse(inputs)
 
 
 class TraceCache:
@@ -490,7 +461,7 @@ class TraceCache:
 
     def __reduce__(self):
         raise TypeError(
-            "TraceCache is per-process (record/replay locks are threading "
+            "TraceCache is per-process (its record locks are threading "
             "locks); give each process its own cache, or share individual "
             "traces via CachedTrace.share()"
         )
@@ -571,14 +542,9 @@ class TraceCache:
                     with self._lock:
                         self._traces[key] = None
                 else:
-                    # Analyse the recorded values before publishing: once
-                    # the trace is in the map, other threads replay into
-                    # its arrays.
-                    with trace.lock:
-                        report = trace._analyse_current()
                     with self._lock:
                         self._traces[key] = trace
-                    return report
+                    return trace._analyse_lane()
             return analysis.analyse(simplify=simplify, compiled=True)
 
     def analyse(
@@ -631,22 +597,18 @@ class TraceCache:
                 key, recorder, inputs, simplify, cache_it=False
             )
             return report, "record"
-        if self.validate and not trace.validated:
-            self._count(self._c_validations, _C_VALIDATIONS)
-            try:
-                with trace.lock:
-                    self._validate(trace, recorder, inputs)
-            except TraceDivergenceError:
-                # The trace is not the program's: every later call for
-                # this key records, as for a trace the guard rejected.
-                with self._lock:
-                    self._traces[key] = None
-                raise
         try:
-            with trace.lock:
-                with _obs_span("trace_cache.replay") as sp:
-                    sp.set(key=repr(key), outcome="replay")
-                    report = trace.analyse(inputs)
+            if self.validate and not trace.validated:
+                self._validate(trace, recorder, inputs)
+            with _obs_span("trace_cache.replay") as sp:
+                sp.set(key=repr(key), outcome="replay")
+                report = trace.analyse(inputs)
+        except TraceDivergenceError:
+            # The trace is not the program's: every later call for this
+            # key records, as for a trace the guard rejected.
+            with self._lock:
+                self._traces[key] = None
+            raise
         except GuardDivergenceError:
             # These inputs take another branch; analyse them the slow way
             # but keep the cached trace for inputs that don't.  Counted as
@@ -682,15 +644,13 @@ class TraceCache:
 
     def _save_to_store(self, key: Any) -> None:
         """Best-effort persist of a freshly recorded trace (record lock
-        held).  The trace is already published, so warm requests may be
-        replaying into it: the save holds its replay lock too."""
+        held)."""
         if self.store is None:
             return
         with self._lock:
             trace = self._traces.get(key)
         if trace is not None:
-            with trace.lock:
-                self.store.save(key, trace)
+            self.store.save(key, trace)
 
     def analyse_batch_outcome(
         self,
@@ -709,10 +669,12 @@ class TraceCache:
         lane-batched adjoint sweep (:meth:`CachedTrace.analyse_batch`).
 
         Cold keys route their first item through the scalar path (which
-        records, loads from the persistent store, or validates as
-        configured) and batch the remainder; guard divergence on any
-        lane falls back to per-item analysis so non-diverging lanes
-        still replay.  This is the entry point
+        records or loads from the persistent store), and in validate mode
+        items take it until one has validated the trace; the remainder
+        is batched.  Guard divergence or an ambiguous comparison on any
+        lane falls back to per-item analysis, so each item ends as its
+        own call would and non-diverging lanes still replay.  This is
+        the entry point
         :mod:`repro.serve.batching` dispatches coalesced requests to.
         """
         inputs_batch = [
@@ -731,16 +693,15 @@ class TraceCache:
 
         start = 0
         trace = self._traces.get(key, _MISSING)
-        if (
+        while start < len(inputs_batch) and (
             trace is _MISSING
-            or trace is None
-            or (self.validate and not trace.validated)
+            or (trace is not None and self.validate and not trace.validated)
         ):
-            # First item takes the scalar path: it records the trace,
-            # warm-starts from the store, or runs validation — whichever
-            # the cache state calls for.
-            scalar(0)
-            start = 1
+            # The scalar path records the trace, warm-starts it from the
+            # store, or runs validation — whichever the cache state calls
+            # for.
+            scalar(start)
+            start += 1
             trace = self._traces.get(key)
         if trace is None:
             # Structure guard rejected the kernel; everything records.
@@ -754,15 +715,15 @@ class TraceCache:
             scalar(start)
             return results
         try:
-            with trace.lock:
-                with _obs_span("trace_cache.replay_batch") as sp:
-                    sp.set(key=repr(key), lanes=len(rest), outcome="replay")
-                    reports = trace.analyse_batch(rest)
-        except GuardDivergenceError:
+            with _obs_span("trace_cache.replay_batch") as sp:
+                sp.set(key=repr(key), lanes=len(rest), outcome="replay")
+                reports = trace.analyse_batch(rest)
+        except (GuardDivergenceError, AmbiguousComparisonError):
             # check_guards accepts a batch only when EVERY lane
-            # reproduces the recorded outcomes, so one divergent request
-            # fails the whole sweep.  Degrade to per-item calls: the
-            # conforming lanes replay, the divergent ones re-record.
+            # reproduces the recorded outcomes, so one divergent or
+            # ambiguous request fails the whole sweep.  Degrade to
+            # per-item calls: the conforming lanes replay, the others
+            # end as their own calls would.
             for i in range(start, len(inputs_batch)):
                 scalar(i)
             return results
@@ -779,8 +740,15 @@ class TraceCache:
         recorder: Callable[[Sequence[Interval]], Any],
         inputs: Sequence[Interval],
     ) -> None:
-        """Re-record one sample and assert it is the same trace."""
-        trace.validated = True
+        """Replay one sample, re-record it and assert it is the same trace.
+
+        The replay comes first, with guards: a sample on another guarded
+        branch raises :class:`~repro.ad.replay.GuardDivergenceError`
+        before anything records, and the trace stays unvalidated for a
+        later sample on its own branch.
+        """
+        lanes = trace.ct.forward(inputs)
+        self._count(self._c_validations, _C_VALIDATIONS)
         analysis = recorder(inputs)
         fresh_hash = op_sequence_hash(analysis.tape)
         if fresh_hash != trace.op_hash:
@@ -790,13 +758,13 @@ class TraceCache:
                 "the tape does not guard — disable replay for it"
             )
         fresh = CompiledTape(analysis.tape)
-        replayed = trace.ct.forward(inputs, check_guards=True)
         same = (
-            fresh.value_lo.tobytes() == replayed.value_lo.tobytes()
-            and fresh.value_hi.tobytes() == replayed.value_hi.tobytes()
+            fresh.value_lo.tobytes() == lanes.value_lo[:, 0].tobytes()
+            and fresh.value_hi.tobytes() == lanes.value_hi[:, 0].tobytes()
         )
         if not same:
             raise TraceDivergenceError(
                 "replayed values differ bitwise from a fresh recording on "
                 "the same inputs — replay rule mismatch; please report"
             )
+        trace.validated = True

@@ -1,12 +1,14 @@
 """Forward replay vs re-recording, bit for bit.
 
 :meth:`repro.ad.compiled.CompiledTape.forward` promises that replaying a
-frozen trace on fresh input intervals reproduces *exactly* the arrays a
-fresh recording of the same program would freeze — every value bound,
-every edge partial, every outward-rounding point.  Hypothesis generates
-the same random straight-line DAG programs as ``test_compiled_tape`` and
-we compare a replayed tape against a re-recorded one bitwise, in both
-rounding modes, for scalar and lane-batched replays.
+frozen trace on fresh input intervals returns one lane holding *exactly*
+the arrays a fresh recording of the same program would freeze — every
+value bound, every edge partial, every outward-rounding point.
+Hypothesis generates the same random straight-line DAG programs as
+``test_compiled_tape`` and we compare replayed lanes against a
+re-recorded tape bitwise, in both rounding modes, for one-input and
+lane-batched replays.  No replay writes the compiled tape: its arrays
+stay the recording's.
 
 The structure guard and the guard re-check get their own tests: an
 unreplayable trace must fail *loudly* at plan build
@@ -17,6 +19,7 @@ computing the wrong program.
 """
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,8 +31,10 @@ from repro.ad.replay import GuardDivergenceError, ReplayError
 from repro.intervals import AmbiguousComparisonError, Interval
 from repro.intervals import rounding as rounding_module
 from repro.intervals.rounding import rounded_mode
+from repro.mp import parallel_lane_significances
+from repro.scorpio import Analysis, CachedTrace, TraceCache
 
-from test_compiled_tape import N_INPUTS, program, record
+from test_compiled_tape import N_INPUTS, program, record, run_program
 
 points = st.lists(
     st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
@@ -43,11 +48,14 @@ def centered(point, radius):
     return [Interval.centered(p, radius) for p in point]
 
 
-def assert_same_arrays(ct, ref):
-    assert ct.value_lo.tobytes() == ref.value_lo.tobytes()
-    assert ct.value_hi.tobytes() == ref.value_hi.tobytes()
-    assert ct.partial_lo.tobytes() == ref.partial_lo.tobytes()
-    assert ct.partial_hi.tobytes() == ref.partial_hi.tobytes()
+COLUMNS = ("value_lo", "value_hi", "partial_lo", "partial_hi")
+
+
+def assert_same_arrays(lanes, ref, lane=0):
+    """Lane ``lane`` of a replay holds exactly ``ref``'s recorded arrays."""
+    for col in COLUMNS:
+        got = getattr(lanes, col)[:, lane]
+        assert got.tobytes() == getattr(ref, col).tobytes(), col
 
 
 @given(program(), points, radii, points, radii, st.booleans())
@@ -60,9 +68,10 @@ def test_forward_matches_rerecording_bitwise(
     with rounded_mode(rounding):
         tape_a, _ = record(steps, centered(pt_a, rad_a))
         ct = CompiledTape(tape_a)
-        ct.forward(centered(pt_b, rad_b))
+        lanes = ct.forward(centered(pt_b, rad_b))
+        assert lanes.n_lanes == 1
         tape_b, _ = record(steps, centered(pt_b, rad_b))
-        assert_same_arrays(ct, CompiledTape(tape_b))
+        assert_same_arrays(lanes, CompiledTape(tape_b))
 
 
 @given(program(), points, radii, points, radii, st.booleans())
@@ -76,14 +85,13 @@ def test_adjoint_over_replayed_state_bitwise(
         tape_a, regs = record(steps, centered(pt_a, rad_a))
         out = regs[-1].node.index
         ct = CompiledTape(tape_a)
-        ct.forward(centered(pt_b, rad_b))
-        lo, hi = ct.adjoint({out: 1.0})
+        lo, hi = ct.forward(centered(pt_b, rad_b)).adjoint({out: 1.0})
         tape_b, _ = record(steps, centered(pt_b, rad_b))
         ref = Tape.adjoint(tape_b, {out: 1.0})
         for k, r in enumerate(ref):
             iv = r if isinstance(r, Interval) else Interval(float(r), float(r))
-            assert np.float64(lo[k]).tobytes() == np.float64(iv.lo).tobytes()
-            assert np.float64(hi[k]).tobytes() == np.float64(iv.hi).tobytes()
+            assert lo[k, 0].tobytes() == np.float64(iv.lo).tobytes()
+            assert hi[k, 0].tobytes() == np.float64(iv.hi).tobytes()
 
 
 def assert_lanes_match_scalar_replays(steps, lane_specs, rounding):
@@ -105,17 +113,16 @@ def assert_lanes_match_scalar_replays(steps, lane_specs, rounding):
         vlo, vhi = lanes.adjoint_vector(outs)
 
         for j, lane in enumerate(ivs):
-            ct.forward(lane)
-            assert lanes.value_lo[:, j].tobytes() == ct.value_lo.tobytes()
-            assert lanes.value_hi[:, j].tobytes() == ct.value_hi.tobytes()
-            assert lanes.partial_lo[:, j].tobytes() == ct.partial_lo.tobytes()
-            assert lanes.partial_hi[:, j].tobytes() == ct.partial_hi.tobytes()
-            slo, shi = ct.adjoint({out: 1.0})
+            one = ct.forward(lane)
+            for col in COLUMNS:
+                got = getattr(lanes, col)[:, j]
+                assert got.tobytes() == getattr(one, col).tobytes(), col
+            slo, shi = one.adjoint({out: 1.0})
             assert alo[:, j].tobytes() == slo.tobytes()
             assert ahi[:, j].tobytes() == shi.tobytes()
-            slo, shi = ct.adjoint_vector(outs)
-            assert vlo[:, j].tobytes() == slo.tobytes()
-            assert vhi[:, j].tobytes() == shi.tobytes()
+            slo, shi = one.adjoint_vector(outs)
+            assert vlo[:, j].tobytes() == slo[:, 0].tobytes()
+            assert vhi[:, j].tobytes() == shi[:, 0].tobytes()
 
 
 lane_batches = st.lists(st.tuples(points, radii), min_size=1, max_size=4)
@@ -141,6 +148,56 @@ def test_forward_lanes_integer_path_bitwise(
     """The same identities with every array rounding on the integer step."""
     monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", 0)
     assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
+
+
+def record_analysis(steps, ivs):
+    """:func:`record` as a scorpio analysis whose output is the last
+    register."""
+    an = Analysis()
+    with an:
+        xs = [an.input(iv, name=f"x{i}") for i, iv in enumerate(ivs)]
+        an.output(run_program(steps, xs)[-1], name="out")
+    return an
+
+
+@given(program(), lane_batches, st.booleans(), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_replays_never_write_the_tape(steps, lane_specs, rounding, frozen):
+    """Every replay entry point leaves the compiled tape's value and
+    partial columns the recording's bytes; with those columns made
+    read-only, every entry point still replays."""
+    batch = [centered(pt, rad) for pt, rad in lane_specs]
+    lo = np.array([[iv.lo for iv in ivs] for ivs in batch]).T
+    hi = np.array([[iv.hi for iv in ivs] for ivs in batch]).T
+    key = ("program",)
+
+    def recorder(ivs):
+        return record_analysis(steps, ivs)
+
+    with rounded_mode(rounding):
+        trace = CachedTrace(recorder(batch[0]))
+        cache = TraceCache()
+        cache.analyse_outcome(key, recorder, batch[0])
+        cached = cache._traces[key]
+        tapes = (trace.ct, cached.ct)
+        recorded = [
+            [getattr(ct, col).tobytes() for col in COLUMNS] for ct in tapes
+        ]
+        if frozen:
+            for ct in tapes:
+                for col in COLUMNS:
+                    getattr(ct, col).setflags(write=False)
+        for replay in (
+            lambda: trace.ct.forward(batch[-1]),
+            lambda: trace.ct.forward_lanes(lo, hi),
+            lambda: trace.analyse(batch[-1]),
+            lambda: trace.analyse_batch(batch),
+            lambda: cache.analyse_outcome(key, recorder, batch[-1]),
+        ):
+            replay()
+            for ct, want in zip(tapes, recorded):
+                assert [getattr(ct, col).tobytes() for col in COLUMNS] == want
+        assert cache.stats()["replays"] == 1
 
 
 def on_paths_to(ct, out):
@@ -454,9 +511,8 @@ def test_forward_accepts_node_index_mapping(steps, pt_a, rad_a, pt_b, rad_b):
     tape, _ = record(steps, centered(pt_a, rad_a))
     ct = CompiledTape(tape)
     by_index = dict(zip(ct.input_nodes, centered(pt_b, rad_b)))
-    ct.forward(by_index)
     ref = CompiledTape(record(steps, centered(pt_b, rad_b))[0])
-    assert_same_arrays(ct, ref)
+    assert_same_arrays(ct.forward(by_index), ref)
 
 
 class TestStructureGuard:
@@ -507,9 +563,8 @@ class TestGuardRecheck:
         )
         ct = CompiledTape(tape)
         fresh = [Interval.centered(0.5, 0.2), Interval.centered(2.0, 0.2)]
-        ct.forward(fresh)
         ref, _ = self._branching_tape(*fresh)
-        assert_same_arrays(ct, CompiledTape(ref))
+        assert_same_arrays(ct.forward(fresh), CompiledTape(ref))
 
     def test_flipped_branch_raises(self):
         tape, _ = self._branching_tape(
@@ -542,6 +597,28 @@ class TestGuardRecheck:
         hi = np.array([[1.1, 5.1], [3.1, 3.1]])
         with pytest.raises(GuardDivergenceError):
             ct.forward_lanes(lo, hi)
+
+    def test_ambiguous_lane_raises_like_recording_it(self):
+        """One rule for any lane count: a batch whose lane 1 cannot
+        decide the recorded comparison (and no lane flips it) raises what
+        recording lane 1 raises, through forward_lanes and through the
+        sequential path of parallel_lane_significances."""
+        tape, y = self._branching_tape(
+            Interval.centered(1.0, 0.1), Interval.centered(3.0, 0.1)
+        )
+        ct = CompiledTape(tape)
+        # Lane 0 keeps the recorded branch; lane 1 is [0, 4] < [2, 3].
+        lo = np.array([[0.9, 0.0], [2.9, 2.0]])
+        hi = np.array([[1.1, 4.0], [3.1, 3.0]])
+        with pytest.raises(AmbiguousComparisonError) as recorded:
+            self._branching_tape(Interval(0.0, 4.0), Interval(2.0, 3.0))
+        with pytest.raises(AmbiguousComparisonError) as replayed:
+            ct.forward_lanes(lo, hi)
+        assert str(replayed.value) == str(recorded.value)
+        trace = SimpleNamespace(ct=ct, output_ids=[y.node.index])
+        with pytest.raises(AmbiguousComparisonError) as parallel:
+            parallel_lane_significances(trace, lo, hi, workers=1)
+        assert str(parallel.value) == str(recorded.value)
 
     def test_check_guards_opt_out(self):
         tape, _ = self._branching_tape(

@@ -85,6 +85,25 @@ class TestSharedTape:
             assert a_got[0].tobytes() == a_want[0].tobytes()
             assert a_got[1].tobytes() == a_want[1].tobytes()
 
+    def test_attached_tape_replays_one_input(self):
+        """An attached tape's columns are read-only views, and that is
+        all a one-input replay needs."""
+        trace = make_trace()
+        ivs = [
+            Interval.centered(p, 0.02 * p)
+            for p in (98.0, 101.0, 0.04, 0.2, 0.5)
+        ]
+        want = trace.ct.forward(ivs)
+        with SharedTape.freeze(trace.ct) as shared:
+            got = shared.attach().forward(ivs)
+            for col in ("value_lo", "value_hi", "partial_lo", "partial_hi"):
+                assert (
+                    getattr(got, col).tobytes() == getattr(want, col).tobytes()
+                )
+            out = {trace.output_ids[0]: 1.0}
+            for a, b in zip(got.adjoint(out), want.adjoint(out)):
+                assert a.tobytes() == b.tobytes()
+
     def test_pickle_ships_handles_not_arrays(self):
         trace = make_trace()
         with SharedTape.freeze(trace.ct) as shared:

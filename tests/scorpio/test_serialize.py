@@ -167,8 +167,7 @@ class TestColumnarWriter:
             [Interval(iv.lo - 0.01 * k, iv.hi + 0.01 * k) for iv in base]
             for k in range(3)
         ]
-        with trace.lock:
-            lanes = trace.analyse_batch(batch)
+        lanes = trace.analyse_batch(batch)
         for inputs, report in zip(batch, lanes):
             oracle = entry.recorder(inputs).analyse(compiled=False)
             assert _written(report) == _reference(oracle)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.ad import intrinsics as op
 from repro.ad.replay import GuardDivergenceError
-from repro.intervals import Interval
+from repro.intervals import AmbiguousComparisonError, Interval
 from repro.scorpio import Analysis, CachedTrace, TapeStore, TraceCache
 from repro.scorpio.serialize import report_to_json
 from repro.scorpio.tape_store import STORE_VERSION, store_key_digest
@@ -99,12 +99,44 @@ class TestRoundTrip:
             store.save(KEY, live)
             loaded = store.load(KEY)
             ivs = [Interval.centered(cx, r), Interval.centered(cy, r)]
-            live.ct.forward(ivs)
-            loaded.ct.forward(ivs)
+            live_lanes = live.ct.forward(ivs)
+            loaded_lanes = loaded.ct.forward(ivs)
             for col in ("value_lo", "value_hi"):
-                a = getattr(live.ct, col)
-                b = getattr(loaded.ct, col)
+                a = getattr(live_lanes, col)
+                b = getattr(loaded_lanes, col)
                 assert np.array_equal(a, b), col  # bitwise: same floats
+
+    def test_save_after_replays_writes_the_recording(self, tmp_path):
+        """Replays never write the tape, so a save after them writes the
+        bytes a save before any replay wrote."""
+        live = CachedTrace(_record_poly(_ivs(0.7, 1.2)))
+        before, after = TapeStore(tmp_path / "a"), TapeStore(tmp_path / "b")
+        assert before.save(KEY, live)
+        live.ct.forward(_ivs(1.5, 0.3))
+        live.analyse(_ivs(0.4, 1.9))
+        live.analyse_batch([_ivs(0.9, 0.9), _ivs(1.1, 0.6)])
+        assert after.save(KEY, live)
+        for a, b in zip(before.paths_for(KEY), after.paths_for(KEY)):
+            with open(a, "rb") as fa, open(b, "rb") as fb:
+                assert fa.read() == fb.read()
+
+    def test_loaded_columns_are_read_only_and_replay(self, tmp_path):
+        live = CachedTrace(_record_poly(_ivs(0.7, 1.2)))
+        store = TapeStore(tmp_path)
+        store.save(KEY, live)
+        loaded = store.load(KEY)
+        for col in (
+            "opcodes", "value_is_interval", "row_ptr", "parent_idx",
+            "depth", "value_lo", "value_hi", "partial_lo", "partial_hi",
+        ):
+            assert not getattr(loaded.ct, col).flags.writeable, col
+        ivs = _ivs(0.45, 1.3)
+        got, want = loaded.ct.forward(ivs), live.ct.forward(ivs)
+        for col in ("value_lo", "value_hi", "partial_lo", "partial_hi"):
+            assert getattr(got, col).tobytes() == getattr(want, col).tobytes()
+        assert report_to_json(loaded.analyse(ivs)) == report_to_json(
+            live.analyse(ivs)
+        )
 
     def test_guard_divergence_still_raises(self, tmp_path):
         live = CachedTrace(_record_branchy(_ivs(0.5, 1.5)))  # x < y taken
@@ -229,6 +261,18 @@ class TestBatchOutcome:
         ):
             ref = _record_branchy(ivs).analyse(compiled=True)
             assert report_to_json(report) == report_to_json(ref)
+
+    def test_ambiguous_lane_ends_as_its_own_call(self):
+        cache = TraceCache()
+        cache.analyse_outcome(KEY, _record_branchy, _ivs(0.5, 1.5))
+        ambiguous = [Interval(0.0, 4.0), Interval(2.0, 3.0)]
+        with pytest.raises(AmbiguousComparisonError) as alone:
+            cache.analyse_outcome(KEY, _record_branchy, ambiguous)
+        with pytest.raises(AmbiguousComparisonError) as batched:
+            cache.analyse_batch_outcome(
+                KEY, _record_branchy, [_ivs(0.6, 1.4), ambiguous]
+            )
+        assert str(batched.value) == str(alone.value)
 
     def test_empty_and_single(self):
         cache = TraceCache()

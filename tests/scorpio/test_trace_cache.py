@@ -64,7 +64,6 @@ class TestCachedTrace:
             rep = trace.analyse(ivs)
             ref = _direct(_record_poly, ivs, simplify=simplify)
             assert report_to_json(rep) == report_to_json(ref)
-        assert trace.replays == 4
 
     def test_label_index(self):
         trace = CachedTrace(_record_poly(_ivs(0.7, 1.2)))
@@ -85,19 +84,6 @@ class TestCachedTrace:
             ).labelled_significances()
             for name in ("x", "y", "t"):
                 assert sig[trace.label_index(name), j] == ref[name]
-
-    def test_lane_report_byte_identical(self):
-        trace = CachedTrace(_record_poly(_ivs(0.7, 1.2)), simplify=False)
-        centres = np.array([[0.5, 1.5], [1.0, 0.4]])
-        lanes = trace.forward_lanes(centres - 0.05, centres + 0.05)
-        for j in range(2):
-            rep = trace.lane_report(lanes, j)
-            ref = _direct(
-                _record_poly,
-                _ivs(centres[0, j], centres[1, j], r=0.05),
-                simplify=False,
-            )
-            assert report_to_json(rep) == report_to_json(ref)
 
     def test_lane_significances_require_single_output(self):
         def two_outputs(ivs):
@@ -226,6 +212,37 @@ class TestTraceCache:
         )
 
 
+    def test_validate_treats_a_flipped_guard_as_divergence(self):
+        """In validate mode a sample on another guarded branch answers
+        like a non-validating cache: the divergence path, with the
+        object engine's bytes.  The key stays cached and unvalidated, and
+        a later sample on the recorded branch validates it."""
+        cache = TraceCache(validate=True)
+        key = ("br",)
+        cache.analyse_outcome(key, _record_branchy, _ivs(1.0, 3.0))
+        flipped = _ivs(5.0, 3.0)
+        report, outcome = cache.analyse_outcome(key, _record_branchy, flipped)
+        assert outcome == "divergence"
+        oracle = _record_branchy(flipped).analyse(compiled=False)
+        assert report_to_json(report) == report_to_json(oracle)
+        assert cache.has(key)
+        assert not cache._traces[key].validated
+        same = _ivs(0.5, 2.0)
+        report, outcome = cache.analyse_outcome(key, _record_branchy, same)
+        assert outcome == "replay"
+        assert cache._traces[key].validated
+        assert report_to_json(report) == report_to_json(
+            _direct(_record_branchy, same)
+        )
+        assert cache.stats() == {
+            "records": 1,
+            "replays": 1,
+            "divergences": 1,
+            "validations": 1,
+            "traces": 1,
+        }
+
+
 class TestAnalyseOutcome:
     def test_outcomes_record_then_replay(self):
         cache = TraceCache()
@@ -300,31 +317,66 @@ class TestConcurrency:
         return cache, served
 
     def test_threads_replay_byte_identical(self):
+        """Threads replay one warm trace at once: one-input and batch
+        callers mixed, over several rounds, under a tiny switch interval
+        so the interpreter interleaves them mid-replay.  A replay only
+        reads the trace, so every caller gets its own inputs' bytes."""
+        import sys
         import threading
 
+        key = ("poly",)
         cache = TraceCache()
-        cache.analyse(("poly",), _record_poly, _ivs(0.7, 1.2))
+        cache.analyse(key, _record_poly, _ivs(0.7, 1.2))
         inputs = [_ivs(0.4 + i / 50.0, 0.9) for i in range(6)]
-        served: dict[int, str] = {}
-        lock = threading.Lock()
-
-        def worker(i: int) -> None:
-            report = cache.analyse(("poly",), _record_poly, inputs[i])
-            with lock:
-                served[i] = report_to_json(report)
-
-        threads = [
-            threading.Thread(target=worker, args=(i,))
-            for i in range(len(inputs))
+        expected = [
+            report_to_json(_direct(_record_poly, ivs)) for ivs in inputs
         ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
+        # Each batch caller asks for three inputs, in rotated orders.
+        batches = [[(i + k) % 6 for k in (0, 2, 4)] for i in range(3)]
+        rounds = 20
+        served: list[tuple[int, str, str]] = []
 
-        for i, ivs in enumerate(inputs):
-            assert served[i] == report_to_json(_direct(_record_poly, ivs))
-        assert cache.stats()["replays"] == len(inputs)
+        def one(i: int, barrier: threading.Barrier) -> None:
+            barrier.wait(timeout=30)
+            report, outcome = cache.analyse_outcome(
+                key, _record_poly, inputs[i]
+            )
+            served.append((i, outcome, report_to_json(report)))
+
+        def batch(ids: list[int], barrier: threading.Barrier) -> None:
+            barrier.wait(timeout=30)
+            outs = cache.analyse_batch_outcome(
+                key, _record_poly, [inputs[i] for i in ids]
+            )
+            for i, (report, outcome) in zip(ids, outs):
+                served.append((i, outcome, report_to_json(report)))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(rounds):
+                barrier = threading.Barrier(len(inputs) + len(batches))
+                threads = [
+                    threading.Thread(target=one, args=(i, barrier))
+                    for i in range(len(inputs))
+                ] + [
+                    threading.Thread(target=batch, args=(ids, barrier))
+                    for ids in batches
+                ]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(switch)
+
+        per_round = len(inputs) + sum(map(len, batches))
+        assert len(served) == rounds * per_round
+        for i, outcome, body in served:
+            assert outcome == "replay"
+            assert body == expected[i]
+        assert cache.stats()["replays"] == rounds * per_round
 
 
 class TestOpSequenceHash:
