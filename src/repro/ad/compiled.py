@@ -18,6 +18,14 @@ After compile the tape's arrays are only read.  A forward replay
 many) evaluates into lane arrays of its own and returns them as a
 :class:`ReplayLanes`, so any number of threads can replay one tape at once.
 
+The forward replay and the reverse sweep each have two paths, and
+:data:`FLOAT_MAX_WORK` picks one per call from the work it is given:
+small work runs on Python floats lane by lane (:mod:`repro.ad.floats`,
+into the same ``(n, L)`` arrays), the rest on arrays as described
+below.  Both give the same bits and raise the same errors; the
+``ad.forward`` / ``ad.forward_lanes`` / ``ad.sweep`` spans name the path
+taken in their ``path`` attribute.
+
 The object tape remains the reference oracle; the sweep is engineered to
 be **bit-identical** to it, including the subtle parts:
 
@@ -67,15 +75,32 @@ from repro.intervals.rounding import down_array, rounding_enabled, up_array
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 
+from . import floats
 from .replay import hull
 from .tape import Tape
 
-__all__ = ["CompiledTape", "LaneWorkspace", "ReplayLanes", "lane_workspace"]
+__all__ = [
+    "CompiledTape",
+    "FLOAT_MAX_WORK",
+    "LaneWorkspace",
+    "ReplayLanes",
+    "lane_workspace",
+]
 
 _C_COMPILES = _metrics.counter("ad.compiles")
 _C_SWEEPS = _metrics.counter("ad.compiled_sweeps")
 _C_FORWARDS = _metrics.counter("replay.forwards")
 _C_FORWARD_LANES = _metrics.counter("replay.forward_lanes")
+
+# Work up to which a forward replay or a reverse sweep runs on Python
+# floats, lane by lane (repro.ad.floats), rather than on arrays: edges x
+# lanes, times the outputs for a vector sweep.  An array step costs about
+# the same from one lane to a few dozen, a float step grows with every
+# edge-lane, and on the 2-vCPU host (Python 3.11, NumPy 2.4) the two meet
+# between about 600 and 1,500 edge-lanes on the served kernels and on
+# random programs (docs/BENCHMARKS.md); 512 stays below every crossover
+# measured, so no replay gets slower for taking the float path.
+FLOAT_MAX_WORK = 512
 
 # Elements (edges x lane row) of a level's point-partial edges from which
 # they fold in their own two-product group: below it, one four-product
@@ -335,6 +360,7 @@ class CompiledTape:
         self.n_levels = n_levels
         self._rank_cache: dict[int, list[np.ndarray]] = {}
         self._lane_sched: tuple[Any, list[_Level]] | None = None
+        self._float_sched: tuple[list, list] | None = None
 
         if e == 0:
             self._contrib_schedule = [
@@ -642,6 +668,21 @@ class CompiledTape:
             )
         return self._lane_sched[1]
 
+    def _float_schedule(self) -> tuple[list, list]:
+        """The float sweep's schedule (see :func:`repro.ad.floats.sweep`):
+        ``(node, first edge, end edge)`` of every node with parents in
+        descending node order, and the edges' parents as a list."""
+        sched = self._float_sched
+        if sched is None:
+            ptr = self.row_ptr.tolist()
+            order = [
+                (j, ptr[j], ptr[j + 1])
+                for j in range(self.n - 1, -1, -1)
+                if ptr[j + 1] > ptr[j]
+            ]
+            sched = self._float_sched = (order, self.parent_idx.tolist())
+        return sched
+
     # ------------------------------------------------------------------
     # Forward replay (record once, replay many)
     # ------------------------------------------------------------------
@@ -709,6 +750,7 @@ class CompiledTape:
                 inputs_hi[:, None],
                 check_guards,
                 None,
+                sp,
                 scratch=lane_workspace(),
             )
 
@@ -749,7 +791,9 @@ class CompiledTape:
         _C_FORWARD_LANES.inc()
         with _span("ad.forward_lanes") as sp:
             sp.set(nodes=self.n, lanes=inputs_lo.shape[1])
-            return self._replay(inputs_lo, inputs_hi, check_guards, workspace)
+            return self._replay(
+                inputs_lo, inputs_hi, check_guards, workspace, sp
+            )
 
     def _replay(
         self,
@@ -757,11 +801,14 @@ class CompiledTape:
         inputs_hi: np.ndarray,
         check_guards: bool,
         workspace: "LaneWorkspace | None",
+        span: Any,
         *,
         scratch: "LaneWorkspace | None" = None,
     ) -> "ReplayLanes":
         """The replay step of :meth:`forward` and :meth:`forward_lanes`:
-        ``(n_inputs, L)`` input bounds into lane arrays of their own."""
+        ``(n_inputs, L)`` input bounds into lane arrays of their own, on
+        Python floats when the work fits :data:`FLOAT_MAX_WORK` (the path
+        taken goes on ``span``)."""
         from .replay import check_guards as _check
 
         plan = self._fplan
@@ -771,27 +818,37 @@ class CompiledTape:
         lanes = ReplayLanes(
             self, vlo, vhi, plo, phi, workspace, scratch=scratch
         )
-        recorded = (
-            self.value_lo, self.value_hi, self.partial_lo, self.partial_hi
-        )
-        if L == 1:
-            # NumPy gathers and scatters on (n, 1) arrays cost several
-            # times a 1-D one's, so one lane replays on its contiguous
-            # columns.
-            vlo, vhi, plo, phi = vlo[:, 0], vhi[:, 0], plo[:, 0], phi[:, 0]
-            inputs_lo, inputs_hi = inputs_lo[:, 0], inputs_hi[:, 0]
+        rnd = rounding_enabled()
+        use_floats = self.n_edges * L <= FLOAT_MAX_WORK
+        span.set(path=_PATH[use_floats])
+        if use_floats:
+            plan.run_floats(inputs_lo, inputs_hi, vlo, vhi, plo, phi, rnd)
         else:
-            recorded = tuple(col[:, None] for col in recorded)
-        # The sweep writes every other row; the rows it keeps (inputs,
-        # recorded constants) get the recorded columns in every lane.
-        nodes, edges = plan.kept_nodes, plan.kept_edges
-        for dst, src, rows in zip(
-            (vlo, vhi, plo, phi), recorded, (nodes, nodes, edges, edges)
-        ):
-            dst[rows] = src[rows]
-        vlo[plan.input_nodes] = inputs_lo
-        vhi[plan.input_nodes] = inputs_hi
-        plan.run(vlo, vhi, plo, phi, rounding_enabled())
+            recorded = (
+                self.value_lo, self.value_hi, self.partial_lo, self.partial_hi
+            )
+            if L == 1:
+                # One lane above the float gate (a dct block's one-input
+                # replay, any trace past FLOAT_MAX_WORK edges) replays on
+                # its contiguous columns: gathers and scatters on (n, 1)
+                # arrays cost more (dct's forward 3.3 ms, not 2.1).
+                vlo, vhi, plo, phi = (
+                    vlo[:, 0], vhi[:, 0], plo[:, 0], phi[:, 0]
+                )
+                inputs_lo, inputs_hi = inputs_lo[:, 0], inputs_hi[:, 0]
+            else:
+                recorded = tuple(col[:, None] for col in recorded)
+            # The steps and the inputs write every other row; the rows
+            # they keep (recorded constants) get the recorded columns in
+            # every lane.
+            nodes, edges = plan.kept_nodes, plan.kept_edges
+            for dst, src, rows in zip(
+                (vlo, vhi, plo, phi), recorded, (nodes, nodes, edges, edges)
+            ):
+                dst[rows] = src[rows]
+            vlo[plan.input_rows] = inputs_lo
+            vhi[plan.input_rows] = inputs_hi
+            plan.run(vlo, vhi, plo, phi, rnd)
         if check_guards:
             _check(self.tape.guards, lanes.value_lo, lanes.value_hi)
         return lanes
@@ -902,9 +959,7 @@ class ReplayLanes:
             raise ValueError("adjoint sweep needs at least one seeded output")
         n, L = self.value_lo.shape
         rnd = rounding_enabled()
-        alo, ahi = _lane_pair(self.workspace, "adjoint", (n, L))
-        alo.fill(0.0)
-        ahi.fill(0.0)
+        start = []
         for index, seed in seeds.items():
             if not (0 <= index < n):
                 raise IndexError(f"seed index {index} outside tape")
@@ -914,25 +969,52 @@ class ReplayLanes:
                 slo = shi = float(seed)
             # The object sweep seeds via `zero + seed`, an outward-rounded
             # interval add.
-            new_lo = alo[index] + slo
-            new_hi = ahi[index] + shi
+            slo = 0.0 + slo
+            shi = 0.0 + shi
             if rnd:
-                down_array(new_lo, out=new_lo)
-                up_array(new_hi, out=new_hi)
-            alo[index] = new_lo
-            ahi[index] = new_hi
+                slo = math.nextafter(slo, -math.inf)
+                shi = math.nextafter(shi, math.inf)
+            start.append((index, slo, shi))
+        alo, ahi = _lane_pair(self.workspace, "adjoint", (n, L))
+        e = self.ct.n_edges
+        use_floats = e * L <= FLOAT_MAX_WORK
         _C_SWEEPS.inc()
         with _span("ad.sweep") as sp, np.errstate(all="ignore"):
-            sp.set(nodes=n, lanes=L, mode="scalar")
-            self.ct._sweep_lanes(
-                alo,
-                ahi,
-                self.partial_lo,
-                self.partial_hi,
-                *_lane_pair(self.scratch, "contrib", (self.ct.n_edges, L)),
-                rnd=rnd,
-                clean_nan=True,
-            )
+            sp.set(nodes=n, lanes=L, mode="scalar", path=_PATH[use_floats])
+            if use_floats:
+                order, parents = self.ct._float_schedule()
+                for lane in range(L):
+                    lo = [0.0] * n
+                    hi = [0.0] * n
+                    for index, slo, shi in start:
+                        lo[index] = slo
+                        hi[index] = shi
+                    floats.sweep(
+                        order,
+                        parents,
+                        self.partial_lo[:, lane].tolist(),
+                        self.partial_hi[:, lane].tolist(),
+                        lo,
+                        hi,
+                        rnd,
+                    )
+                    alo[:, lane] = lo
+                    ahi[:, lane] = hi
+            else:
+                alo.fill(0.0)
+                ahi.fill(0.0)
+                for index, slo, shi in start:
+                    alo[index] = slo
+                    ahi[index] = shi
+                self.ct._sweep_lanes(
+                    alo,
+                    ahi,
+                    self.partial_lo,
+                    self.partial_hi,
+                    *_lane_pair(self.scratch, "contrib", (e, L)),
+                    rnd=rnd,
+                    clean_nan=True,
+                )
         return alo, ahi
 
     def adjoint_vector(
@@ -954,18 +1036,40 @@ class ReplayLanes:
                 raise IndexError(f"output index {idx} outside tape")
             lo[idx, :, j] += 1.0
             hi[idx, :, j] += 1.0
+        e = self.ct.n_edges
+        use_floats = e * L * m <= FLOAT_MAX_WORK
         _C_SWEEPS.inc()
         with _span("ad.sweep") as sp, np.errstate(all="ignore"):
-            sp.set(nodes=n, lanes=L, mode="vector", outputs=m)
-            self.ct._sweep_lanes(
-                lo,
-                hi,
-                self.partial_lo,
-                self.partial_hi,
-                *_lane_pair(self.scratch, "contrib", (self.ct.n_edges, L, m)),
-                rnd=False,
-                clean_nan=False,
+            sp.set(
+                nodes=n, lanes=L, mode="vector", outputs=m,
+                path=_PATH[use_floats],
             )
+            if use_floats:
+                order, parents = self.ct._float_schedule()
+                for lane in range(L):
+                    lane_lo = lo[:, lane, :].ravel().tolist()
+                    lane_hi = hi[:, lane, :].ravel().tolist()
+                    floats.sweep_vector(
+                        order,
+                        parents,
+                        self.partial_lo[:, lane].tolist(),
+                        self.partial_hi[:, lane].tolist(),
+                        lane_lo,
+                        lane_hi,
+                        m,
+                    )
+                    lo[:, lane, :] = np.reshape(lane_lo, (n, m))
+                    hi[:, lane, :] = np.reshape(lane_hi, (n, m))
+            else:
+                self.ct._sweep_lanes(
+                    lo,
+                    hi,
+                    self.partial_lo,
+                    self.partial_hi,
+                    *_lane_pair(self.scratch, "contrib", (e, L, m)),
+                    rnd=False,
+                    clean_nan=False,
+                )
         return lo, hi
 
 
@@ -1000,6 +1104,9 @@ class LaneWorkspace:
 
 
 _LOCAL = threading.local()
+
+# The ``path`` attribute of the replay and sweep spans.
+_PATH = {True: "float", False: "array"}
 
 
 def lane_workspace() -> LaneWorkspace:

@@ -43,8 +43,12 @@ same program on the object tape.  That constraint drives every rule here:
   rule and constant-add rounding).
 
 A replay never writes the compiled tape: it evaluates into ``(n, L)``
-lane arrays of its own, one lane per input set (a one-input replay is one
-lane, which :meth:`ForwardPlan.run` evaluates on its 1-D columns).
+lane arrays of its own, one lane per input set.  A small replay (see
+:data:`repro.ad.compiled.FLOAT_MAX_WORK`) runs the float twins of these
+rules instead (:meth:`ForwardPlan.run_floats`, :mod:`repro.ad.floats`);
+a large one-lane replay runs :meth:`ForwardPlan.run` on its 1-D columns.
+The error messages are defined here once (:func:`domain_error`,
+:func:`division_error`, :func:`check_no_nan`) and raised by both.
 
 Replay is only valid for *straight-line* traces: the structure guard
 (:class:`ReplayError` at plan build) rejects tapes replay cannot
@@ -113,6 +117,20 @@ _UNARY = (
 
 _GUARD_OPS = {"lt": "<", "le": "<=", "gt": ">", "ge": ">="}
 
+# The domain of each intrinsic that has one: its failing condition on an
+# operand's bounds, written with operators that hold for floats and for
+# arrays alike (the array rules reduce it with ``np.any``), and the tail
+# of its error message.
+DOMAINS = {
+    "sqrt": (lambda lo, hi: lo < 0.0, "extends below zero"),
+    "log": (lambda lo, hi: lo <= 0.0, "reaches zero or below"),
+    "log2": (lambda lo, hi: lo <= 0.0, "reaches zero or below"),
+    "log10": (lambda lo, hi: lo <= 0.0, "reaches zero or below"),
+    "log1p": (lambda lo, hi: lo <= -1.0, "reaches -1 or below"),
+    "asin": (lambda lo, hi: (lo < -1.0) | (hi > 1.0), "leaves [-1, 1]"),
+    "acos": (lambda lo, hi: (lo < -1.0) | (hi > 1.0), "leaves [-1, 1]"),
+}
+
 
 class ReplayError(RuntimeError):
     """The recorded trace cannot be replayed on fresh inputs.
@@ -137,6 +155,32 @@ class GuardDivergenceError(RuntimeError):
     :class:`~repro.intervals.AmbiguousComparisonError`, as recording
     does.)
     """
+
+
+# ----------------------------------------------------------------------
+# Replay errors, raised alike by the array rules and their float twins
+# ----------------------------------------------------------------------
+def domain_error(name: str) -> ValueError:
+    """``name``'s operand left its domain (see :data:`DOMAINS`)."""
+    return ValueError(
+        f"{name} domain error during replay: an interval {DOMAINS[name][1]}"
+    )
+
+
+def division_error(what: str) -> ZeroDivisionError:
+    """A divisor of ``what`` contains zero."""
+    return ZeroDivisionError(
+        f"interval division by a divisor containing zero while replaying {what}"
+    )
+
+
+def check_no_nan(vlo: np.ndarray, vhi: np.ndarray) -> None:
+    """The check after a whole forward replay: no value bound is NaN."""
+    if np.isnan(vlo).any() or np.isnan(vhi).any():
+        raise ValueError(
+            "replay produced NaN interval bounds (an operation is "
+            "undefined on these inputs); re-record to locate it"
+        )
 
 
 # ----------------------------------------------------------------------
@@ -239,10 +283,7 @@ def _idiv(alo, ahi, blo, bhi, rnd, what: str):
     """``Interval.__truediv__``: zero check, rounded reciprocal, then the
     full product rule (the double rounding is part of the contract)."""
     if np.any((blo <= 0.0) & (bhi >= 0.0)):
-        raise ZeroDivisionError(
-            f"interval division by a divisor containing zero while "
-            f"replaying {what}"
-        )
+        raise division_error(what)
     rlo = _dnr(1.0 / bhi, rnd)
     rhi = _upr(1.0 / blo, rnd)
     return _imul(alo, ahi, rlo, rhi, rnd)
@@ -455,9 +496,14 @@ class ForwardPlan:
     (see :func:`_point_partials`); the lane adjoint sweep multiplies by
     them directly instead of gathering their partial rows.
 
-    ``kept_nodes`` / ``kept_edges`` are the value and partial rows no
-    step writes (inputs, recorded constants): a replay fills only those
-    from the recording.
+    ``kept_nodes`` / ``kept_edges`` are the value and partial rows that
+    neither a step nor the inputs write (recorded constants): an array
+    replay fills only those from the recording, and scatters the inputs
+    through ``input_rows``, the int64 twin of ``input_nodes``.
+
+    :meth:`run` evaluates the steps on arrays; :meth:`run_floats` runs
+    their float twins (:mod:`repro.ad.floats`) lane by lane, from a rule
+    table built on its first call and only read after that.
     """
 
     def __init__(self, ct):
@@ -547,6 +593,7 @@ class ForwardPlan:
             groups.setdefault((fdepth[j], key), []).append(j)
 
         self.input_nodes = input_nodes
+        self.input_rows = np.asarray(input_nodes, dtype=np.int64)
         row_ptr = ct.row_ptr
         parent_idx = ct.parent_idx
         steps: list[tuple[tuple, _Step]] = []
@@ -571,6 +618,7 @@ class ForwardPlan:
         self._steps = steps
         self.point_edges, self.point_values = _point_partials(steps)
         node_written = np.zeros(n, dtype=bool)
+        node_written[self.input_rows] = True
         edge_written = np.zeros(ct.n_edges, dtype=bool)
         for key, st in steps:
             node_written[st.idx] = True
@@ -579,6 +627,7 @@ class ForwardPlan:
                 edge_written[st.e0 + 1] = True
         self.kept_nodes = np.flatnonzero(~node_written)
         self.kept_edges = np.flatnonzero(~edge_written)
+        self._float_table: Any = None
 
     # ------------------------------------------------------------------
     # Execution
@@ -593,11 +642,27 @@ class ForwardPlan:
         with np.errstate(all="ignore"):
             for key, st in self._steps:
                 self._exec(key, st, vlo, vhi, plo, phi, rnd)
-        if np.isnan(vlo).any() or np.isnan(vhi).any():
-            raise ValueError(
-                "replay produced NaN interval bounds (an operation is "
-                "undefined on these inputs); re-record to locate it"
-            )
+        check_no_nan(vlo, vhi)
+
+    def run_floats(self, inputs_lo, inputs_hi, vlo, vhi, plo, phi, rnd) -> None:
+        """:meth:`run` on Python floats, with the inputs scattered too.
+
+        ``inputs_lo`` / ``inputs_hi`` are ``(n_inputs, L)`` bounds and the
+        other arrays ``(n, L)`` / ``(e, L)``, written in full.  Each lane
+        starts from the recorded columns as lists; the steps run in plan
+        order, each over every lane.  Bit for bit, and failure for
+        failure, this is :meth:`run` (see :mod:`repro.ad.floats`).
+        """
+        table = self._float_table
+        if table is None:
+            from .floats import FloatTable
+
+            table = self._float_table = FloatTable(self)
+        lanes = table.run(inputs_lo.T.tolist(), inputs_hi.T.tolist(), rnd)
+        for lane, columns in enumerate(lanes):
+            for array, column in zip((vlo, vhi, plo, phi), columns):
+                array[:, lane] = column
+        check_no_nan(vlo, vhi)
 
     def _exec(self, key, st, vlo, vhi, plo, phi, rnd) -> None:
         kind = key[0]
@@ -759,10 +824,7 @@ class ForwardPlan:
             phi[e0] = p_hi
         elif name == "sqrt":
             if np.any(alo < 0.0):
-                raise ValueError(
-                    "sqrt domain error during replay: an interval extends "
-                    "below zero"
-                )
+                raise domain_error("sqrt")
             rlo = _dnr(np.sqrt(alo), rnd)
             rhi = _upr(np.sqrt(ahi), rnd)
             p_lo, p_hi = _idiv(0.5, 0.5, rlo, rhi, rnd, "the sqrt partial")
@@ -807,33 +869,12 @@ class ForwardPlan:
 
     @staticmethod
     def _monotone_value(name, alo, ahi, rnd):
+        domain = DOMAINS.get(name)
+        if domain is not None and np.any(domain[0](alo, ahi)):
+            raise domain_error(name)
         fn = _MONO_INC.get(name)
         if fn is not None:
-            if name == "log" or name == "log2" or name == "log10":
-                if np.any(alo <= 0.0):
-                    raise ValueError(
-                        f"{name} domain error during replay: an interval "
-                        "reaches zero or below"
-                    )
-            elif name == "log1p":
-                if np.any(alo <= -1.0):
-                    raise ValueError(
-                        "log1p domain error during replay: an interval "
-                        "reaches -1 or below"
-                    )
-            elif name == "asin":
-                if np.any(alo < -1.0) or np.any(ahi > 1.0):
-                    raise ValueError(
-                        "asin domain error during replay: an interval "
-                        "leaves [-1, 1]"
-                    )
             return _mono_inc(fn, alo, ahi, rnd)
-        if name == "acos":
-            if np.any(alo < -1.0) or np.any(ahi > 1.0):
-                raise ValueError(
-                    "acos domain error during replay: an interval leaves "
-                    "[-1, 1]"
-                )
         return _mono_dec(_MONO_DEC[name], alo, ahi, rnd)
 
     @staticmethod
@@ -853,17 +894,15 @@ class ForwardPlan:
             tlo, thi = _imul(alo, ahi, c, c, rnd)
             return _idiv(1.0, 1.0, tlo, thi, rnd, f"the {name} partial")
         if name == "cbrt":
-            r2lo, r2hi = _ipown(rlo, rhi, 2, rnd)
-            tlo, thi = _imul(r2lo, r2hi, 3.0, 3.0, rnd)
+            # 1.0 / (3.0 * r * r): a product by r, not a square.
+            tlo, thi = _imul(rlo, rhi, 3.0, 3.0, rnd)
+            tlo, thi = _imul(tlo, thi, rlo, rhi, rnd)
             return _idiv(1.0, 1.0, tlo, thi, rnd, "the cbrt partial")
         if name == "asin" or name == "acos":
             v2lo, v2hi = _ipown(alo, ahi, 2, rnd)
             tlo, thi = _isub(1.0, 1.0, v2lo, v2hi, rnd)
             if np.any(tlo < 0.0):
-                raise ValueError(
-                    "sqrt domain error during replay: an interval extends "
-                    "below zero"
-                )
+                raise domain_error("sqrt")
             slo = _dnr(np.sqrt(tlo), rnd)
             shi = _upr(np.sqrt(thi), rnd)
             if name == "asin":

@@ -7,14 +7,16 @@ kernels analyse the same straight-line code over and over with different
 input intervals (every 8x8 DCT block, every BlackScholes option, every
 Sobel window records an identical graph).  This module keeps one
 :class:`~repro.ad.compiled.CompiledTape` per distinct trace and re-runs it
-with the vectorized forward sweep (:meth:`CompiledTape.forward`) instead
-of re-recording, feeding the replayed lane straight into the compiled
+with a forward replay (:meth:`CompiledTape.forward`: on Python floats for
+a small trace such as a served kernel's, as array sweeps for a large one
+such as a DCT block's) instead of re-recording, feeding the replayed
+lane straight into the compiled
 analysis pipeline
 (:func:`~repro.scorpio.compiled.analyse_compiled_tape`) with the
 structural work (S4 simplify, BFS levels) computed once per trace.
 
-Replayed analyses are **bit-identical** to re-recording: the forward sweep
-reproduces every rounding point of the object evaluation, and the reports
+Replayed analyses are **bit-identical** to re-recording: either replay
+path reproduces every rounding point of the object evaluation, and the reports
 serialize byte-for-byte equal to a fresh ``Analysis`` run.
 
 Validity: a cached trace is one straight-line execution.  Traces whose

@@ -9,18 +9,83 @@ shared subexpressions, so fan-out exercises the adjoint accumulation
 order) and we compare every adjoint of every node bitwise.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ad import ADouble, CompiledTape, Tape
+from repro.ad import compiled as compiled_module
 from repro.ad import intrinsics as op
 from repro.intervals import Interval
 from repro.intervals.rounding import rounded_mode
 from repro.kernels.dct.analysis import _record_dct_block
 
 N_INPUTS = 3
+
+# FLOAT_MAX_WORK values a harness runs at, drawn with the rounding mode:
+# None keeps the default, under which these small programs replay and
+# sweep on Python floats; 0 sends every step to the array path.
+GATES = [None, 0]
+
+
+@contextmanager
+def float_gate(gate):
+    """Run the block with ``FLOAT_MAX_WORK`` at ``gate`` (None: default)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if gate is not None:
+            patch.setattr(compiled_module, "FLOAT_MAX_WORK", gate)
+        yield
+
+# What each step kind records, operands kept inside the op's domain:
+# squares plus a positive constant under roots, logs and division, tanh
+# (a range inside [-1, 1]) under exp, cosh, tan and the powers.
+# Together they reach every step kind the forward replay has a rule for
+# but asin / acos, whose unrounded recording of a near-point operand can
+# come out inverted by an ulp (libm is not monotone there), so the
+# recording itself refuses it.
+KINDS = {
+    "add": lambda a, b, c: a + b,
+    "sub": lambda a, b, c: a - b,
+    "mul": lambda a, b, c: a * b,
+    "div": lambda a, b, c: a / (b * b + 1.0),
+    "cdiv": lambda a, b, c: a / (abs(c) + 0.5),
+    "rdiv": lambda a, b, c: c / (a * a + 0.5),
+    "rsub": lambda a, b, c: c - a,
+    "neg": lambda a, b, c: -a,
+    "abs": lambda a, b, c: abs(a),
+    "min": lambda a, b, c: op.minimum(a, b),
+    "max": lambda a, b, c: op.maximum(a, b),
+    "clip": lambda a, b, c: op.clip(a, -abs(c), abs(c)),
+    "sin": lambda a, b, c: op.sin(a),
+    "tanh": lambda a, b, c: op.tanh(a),
+    "sqr": lambda a, b, c: a * a,
+    "sqrt": lambda a, b, c: op.sqrt(a * a + 0.25),
+    "exp": lambda a, b, c: op.exp(op.tanh(a)),
+    "log": lambda a, b, c: op.log(a * a + 0.5),
+    "erf": lambda a, b, c: op.erf(a),
+    "erfc": lambda a, b, c: op.erfc(a),
+    "cosh": lambda a, b, c: op.cosh(op.tanh(a)),
+    "pow3": lambda a, b, c: op.tanh(a) ** 3,
+    "floor": lambda a, b, c: op.floor(a),
+    "round_st": lambda a, b, c: op.round_st(a),
+    "axpc": lambda a, b, c: a * c + c,  # constant partials
+    "csub": lambda a, b, c: a - c,
+    "cos": lambda a, b, c: op.cos(a),
+    "tan": lambda a, b, c: op.tan(op.tanh(a)),
+    "sinh": lambda a, b, c: op.sinh(op.tanh(a)),
+    "expm1": lambda a, b, c: op.expm1(op.tanh(a)),
+    "log1p": lambda a, b, c: op.log1p(a * a),
+    "log2": lambda a, b, c: op.log2(a * a + 0.5),
+    "log10": lambda a, b, c: op.log10(a * a + 0.5),
+    "cbrt": lambda a, b, c: op.cbrt(a * a + 0.5),
+    "atan": lambda a, b, c: op.atan(a),
+    "pow0": lambda a, b, c: a**0,
+    "pow4": lambda a, b, c: op.tanh(a) ** 4,
+    "pow-2": lambda a, b, c: (a * a + 0.5) ** -2,
+}
 
 
 @st.composite
@@ -30,11 +95,7 @@ def program(draw):
     steps = []
     for k in range(n_steps):
         nregs = N_INPUTS + k
-        kind = draw(
-            st.sampled_from(
-                ["add", "sub", "mul", "sin", "tanh", "sqr", "axpc"]
-            )
-        )
+        kind = draw(st.sampled_from(sorted(KINDS)))
         i = draw(st.integers(0, nregs - 1))
         j = draw(st.integers(0, nregs - 1))
         c = draw(
@@ -47,21 +108,7 @@ def program(draw):
 def run_program(steps, xs):
     regs = list(xs)
     for kind, i, j, c in steps:
-        a, b = regs[i], regs[j]
-        if kind == "add":
-            regs.append(a + b)
-        elif kind == "sub":
-            regs.append(a - b)
-        elif kind == "mul":
-            regs.append(a * b)
-        elif kind == "sin":
-            regs.append(op.sin(a))
-        elif kind == "tanh":
-            regs.append(op.tanh(a))
-        elif kind == "sqr":
-            regs.append(a * a)
-        else:  # a*c + c: exercises constant partials
-            regs.append(a * c + c)
+        regs.append(KINDS[kind](regs[i], regs[j], c))
     return regs
 
 
@@ -97,27 +144,28 @@ points = st.lists(
 radii = st.floats(min_value=0.0, max_value=0.5, allow_nan=False)
 
 
-@given(program(), points, radii, st.booleans())
-@settings(max_examples=60, deadline=None)
-def test_scalar_sweep_interval_bitwise(steps, point, radius, rounding):
-    with rounded_mode(rounding):
+@given(program(), points, radii, st.booleans(), st.sampled_from(GATES))
+@settings(max_examples=80, deadline=None)
+def test_scalar_sweep_interval_bitwise(steps, point, radius, rounding, gate):
+    with rounded_mode(rounding), float_gate(gate):
         tape, regs = record(
             steps, [Interval.centered(p, radius) for p in point]
         )
         assert_scalar_sweep_matches(tape, regs[-1].node.index)
 
 
-@given(program(), points, radii)
-@settings(max_examples=40, deadline=None)
-def test_vector_sweep_bitwise(steps, point, radius):
-    tape, regs = record(
-        steps, [Interval.centered(p, radius) for p in point]
-    )
-    outs = sorted({regs[-1].node.index, regs[len(regs) // 2].node.index})
-    ref_lo, ref_hi = Tape.adjoint_vector(tape, outs)
-    lo, hi = CompiledTape(tape).adjoint_vector(outs)
-    assert np.array_equal(lo, np.asarray(ref_lo))
-    assert np.array_equal(hi, np.asarray(ref_hi))
+@given(program(), points, radii, st.booleans(), st.sampled_from(GATES))
+@settings(max_examples=60, deadline=None)
+def test_vector_sweep_bitwise(steps, point, radius, rounding, gate):
+    with rounded_mode(rounding), float_gate(gate):
+        tape, regs = record(
+            steps, [Interval.centered(p, radius) for p in point]
+        )
+        outs = sorted({regs[-1].node.index, regs[len(regs) // 2].node.index})
+        ref_lo, ref_hi = Tape.adjoint_vector(tape, outs)
+        lo, hi = CompiledTape(tape).adjoint_vector(outs)
+    assert lo.tobytes() == np.asarray(ref_lo).tobytes()
+    assert hi.tobytes() == np.asarray(ref_hi).tobytes()
 
 
 class TestStructure:

@@ -34,7 +34,14 @@ from repro.intervals.rounding import rounded_mode
 from repro.mp import parallel_lane_significances
 from repro.scorpio import Analysis, CachedTrace, TraceCache
 
-from test_compiled_tape import N_INPUTS, program, record, run_program
+from test_compiled_tape import (
+    GATES,
+    N_INPUTS,
+    float_gate,
+    program,
+    record,
+    run_program,
+)
 
 points = st.lists(
     st.floats(min_value=-1.5, max_value=1.5, allow_nan=False),
@@ -58,14 +65,17 @@ def assert_same_arrays(lanes, ref, lane=0):
         assert got.tobytes() == getattr(ref, col).tobytes(), col
 
 
-@given(program(), points, radii, points, radii, st.booleans())
-@settings(max_examples=60, deadline=None)
+@given(
+    program(), points, radii, points, radii, st.booleans(), st.sampled_from(GATES)
+)
+@settings(max_examples=100, deadline=None)
 def test_forward_matches_rerecording_bitwise(
-    steps, pt_a, rad_a, pt_b, rad_b, rounding
+    steps, pt_a, rad_a, pt_b, rad_b, rounding, gate
 ):
     """Replaying inputs B over a trace recorded on inputs A freezes the
-    exact arrays recording the program on B would."""
-    with rounded_mode(rounding):
+    exact arrays recording the program on B would, on the float path and
+    on the array path."""
+    with rounded_mode(rounding), float_gate(gate):
         tape_a, _ = record(steps, centered(pt_a, rad_a))
         ct = CompiledTape(tape_a)
         lanes = ct.forward(centered(pt_b, rad_b))
@@ -74,14 +84,17 @@ def test_forward_matches_rerecording_bitwise(
         assert_same_arrays(lanes, CompiledTape(tape_b))
 
 
-@given(program(), points, radii, points, radii, st.booleans())
-@settings(max_examples=30, deadline=None)
+@given(
+    program(), points, radii, points, radii, st.booleans(), st.sampled_from(GATES)
+)
+@settings(max_examples=60, deadline=None)
 def test_adjoint_over_replayed_state_bitwise(
-    steps, pt_a, rad_a, pt_b, rad_b, rounding
+    steps, pt_a, rad_a, pt_b, rad_b, rounding, gate
 ):
     """The reverse sweep on replayed state matches the object sweep on a
-    fresh recording — forward + adjoint composes bit-identically."""
-    with rounded_mode(rounding):
+    fresh recording — forward + adjoint composes bit-identically, on
+    both paths."""
+    with rounded_mode(rounding), float_gate(gate):
         tape_a, regs = record(steps, centered(pt_a, rad_a))
         out = regs[-1].node.index
         ct = CompiledTape(tape_a)
@@ -128,11 +141,13 @@ def assert_lanes_match_scalar_replays(steps, lane_specs, rounding):
 lane_batches = st.lists(st.tuples(points, radii), min_size=1, max_size=4)
 
 
-@given(program(), lane_batches, st.booleans())
-@settings(max_examples=30, deadline=None)
-def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
-    """At the default gate these few lanes round through np.nextafter."""
-    assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
+@given(program(), lane_batches, st.booleans(), st.sampled_from(GATES))
+@settings(max_examples=40, deadline=None)
+def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding, gate):
+    """At the default rounding gate these few lanes round through
+    np.nextafter; at the default float gate they replay on floats."""
+    with float_gate(gate):
+        assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
 
 
 @given(program(), lane_batches, st.booleans())
@@ -145,9 +160,11 @@ def test_forward_lanes_per_lane_bitwise(steps, lane_specs, rounding):
 def test_forward_lanes_integer_path_bitwise(
     monkeypatch, steps, lane_specs, rounding
 ):
-    """The same identities with every array rounding on the integer step."""
+    """The same identities on the array path with every array rounding
+    on the integer step."""
     monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", 0)
-    assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
+    with float_gate(0):
+        assert_lanes_match_scalar_replays(steps, lane_specs, rounding)
 
 
 def record_analysis(steps, ivs):
@@ -210,15 +227,20 @@ def on_paths_to(ct, out):
     return live
 
 
-@given(program(), lane_batches, st.sampled_from([None, 0]))
+@given(
+    program(),
+    lane_batches,
+    st.sampled_from([None, 0]),
+    st.sampled_from(GATES),
+)
 @settings(max_examples=40, deadline=None)
 def test_rounded_lane_adjoint_is_live_exactly_on_paths_to_the_output(
-    steps, lane_specs, gate
+    steps, lane_specs, gate, floats_gate
 ):
     """The premise of the rounded sweep's per-edge activity: under
     outward rounding a node's lane adjoint is nonzero in every lane when
     it has a path to the seeded output, and zero in every lane when not."""
-    with pytest.MonkeyPatch.context() as patch:
+    with pytest.MonkeyPatch.context() as patch, float_gate(floats_gate):
         if gate is not None:
             patch.setattr(rounding_module, "INT_STEP_MIN_SIZE", gate)
         with rounded_mode(True):
@@ -340,9 +362,15 @@ def test_point_partial_rule_bitwise(monkeypatch, gate, rounding):
     """Point-constant edges take the two-product rule; a non-point
     constant multiplier keeps the four products.  Lanes with zero source
     adjoints, -0.0 bounds and tied products stay bit-identical to
-    recording each lane on the object tape."""
+    recording each lane on the object tape, on both float gates."""
     if gate is not None:
         monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", gate)
+    for floats_gate in GATES:
+        with float_gate(floats_gate):
+            _check_point_partial_rule(rounding)
+
+
+def _check_point_partial_rule(rounding):
     lanes_iv = [[Interval(*b) for b in lane] for lane in POINT_RULE_LANES]
     with rounded_mode(rounding):
 
@@ -402,12 +430,18 @@ ZERO_TIMES_INF_LANES = [
 @pytest.mark.parametrize("gate", [None, 0])
 def test_zero_times_infinity_bitwise(monkeypatch, gate, rounding):
     """``0·inf`` products fold as 0 in every engine: replayed values,
-    partials, lane adjoints and Eq. 11 match recording each lane."""
-    from repro.scorpio.compiled import lane_eq11
-    from repro.scorpio.significance import significance_value
-
+    partials, lane adjoints and Eq. 11 match recording each lane, on both
+    float gates."""
     if gate is not None:
         monkeypatch.setattr(rounding_module, "INT_STEP_MIN_SIZE", gate)
+    for floats_gate in GATES:
+        with float_gate(floats_gate):
+            _check_zero_times_infinity(rounding)
+
+
+def _check_zero_times_infinity(rounding):
+    from repro.scorpio.compiled import lane_eq11
+    from repro.scorpio.significance import significance_value
 
     def record_lane(x, y):
         tape = Tape()
@@ -467,19 +501,24 @@ def test_zero_adjoint_on_an_infinite_partial_bitwise(rounding):
         ((0.5, 1.0), (1.0, np.inf), (0.0, 0.0)),
         ((0.5, 1.0), (1.0, 2.0), (1.0, 2.0)),
     ]
-    with rounded_mode(rounding):
-        tape, out = record_lane(*lanes_iv[-1])
-        lo = np.array([[iv[0] for iv in ivs] for ivs in lanes_iv]).T
-        hi = np.array([[iv[1] for iv in ivs] for ivs in lanes_iv]).T
-        alo, ahi = CompiledTape(tape).forward_lanes(lo, hi).adjoint({out: 1.0})
-        for j, ivs in enumerate(lanes_iv):
-            lane_tape, lane_out = record_lane(*ivs)
-            ref = Tape.adjoint(lane_tape, {lane_out: 1.0})
-            ref_lo = np.array([r.lo for r in ref]).tobytes()
-            ref_hi = np.array([r.hi for r in ref]).tobytes()
-            one_lo, one_hi = CompiledTape(lane_tape).adjoint({lane_out: 1.0})
-            assert alo[:, j].tobytes() == one_lo.tobytes() == ref_lo
-            assert ahi[:, j].tobytes() == one_hi.tobytes() == ref_hi
+    for floats_gate in GATES:
+        with rounded_mode(rounding), float_gate(floats_gate):
+            _check_infinite_partial(record_lane, lanes_iv)
+
+
+def _check_infinite_partial(record_lane, lanes_iv):
+    tape, out = record_lane(*lanes_iv[-1])
+    lo = np.array([[iv[0] for iv in ivs] for ivs in lanes_iv]).T
+    hi = np.array([[iv[1] for iv in ivs] for ivs in lanes_iv]).T
+    alo, ahi = CompiledTape(tape).forward_lanes(lo, hi).adjoint({out: 1.0})
+    for j, ivs in enumerate(lanes_iv):
+        lane_tape, lane_out = record_lane(*ivs)
+        ref = Tape.adjoint(lane_tape, {lane_out: 1.0})
+        ref_lo = np.array([r.lo for r in ref]).tobytes()
+        ref_hi = np.array([r.hi for r in ref]).tobytes()
+        one_lo, one_hi = CompiledTape(lane_tape).adjoint({lane_out: 1.0})
+        assert alo[:, j].tobytes() == one_lo.tobytes() == ref_lo
+        assert ahi[:, j].tobytes() == one_hi.tobytes() == ref_hi
 
 
 def test_lane_sweep_keeps_no_lane_sized_buffer():

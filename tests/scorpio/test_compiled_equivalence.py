@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.ad import ADouble, CompiledTape, ReplayError
+from repro.ad import compiled
 from repro.ad import intrinsics as op
 from repro.intervals import Interval, rounding
 from repro.intervals.rounding import rounded_mode
@@ -59,10 +60,21 @@ class TestKernelEquivalence:
         assert np.array_equal(obj, cmp)
 
 
-class TestKernelEquivalenceIntegerPath(TestKernelEquivalence):
-    """The same identities with the rounding gate lowered to 0, so every
-    array rounding of the compiled sweep and Eq. 11 takes the integer
-    step (at the default gate only dct's widest levels do)."""
+class TestKernelEquivalenceArrayPath(TestKernelEquivalence):
+    """The same identities with the float gate at 0, so the one-lane
+    sweeps of the small kernels run on arrays (at the default gate they
+    run on Python floats; dct's is above it either way)."""
+
+    @pytest.fixture(autouse=True)
+    def _array_path(self, monkeypatch):
+        monkeypatch.setattr(compiled, "FLOAT_MAX_WORK", 0)
+
+
+class TestKernelEquivalenceIntegerPath(TestKernelEquivalenceArrayPath):
+    """The same identities on the array path with the rounding gate
+    lowered to 0, so every array rounding of the compiled sweep and
+    Eq. 11 takes the integer step (at the default gate only dct's widest
+    levels do)."""
 
     @pytest.fixture(autouse=True)
     def _integer_step(self, monkeypatch):
